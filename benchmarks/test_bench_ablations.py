@@ -23,7 +23,6 @@ from collections import defaultdict
 import pytest
 
 from repro.analysis import reflection
-from repro.core.config import FilterSettings
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.util.render import TextTable
 from repro.util.simtime import DAY
@@ -34,12 +33,7 @@ SEED = 11
 SPECS = {
     "baseline": RunSpec("small", seed=SEED, label="baseline"),
     "no_filters": RunSpec(
-        "small",
-        seed=SEED,
-        filters_template=FilterSettings(
-            antivirus=False, reverse_dns=False, rbl=False
-        ),
-        label="no-auxiliary-filters",
+        "small", seed=SEED, chain="cr-only", label="no-auxiliary-filters"
     ),
     "no_dedup": RunSpec(
         "small",

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.core.config import FilterSettings
 from repro.experiments.parallel import ParallelRunner, RunSpec
 from repro.util.render import TextTable
 
@@ -19,14 +18,7 @@ from repro.util.render import TextTable
 #: no-auxiliary-filters ablation, the dedup ablation, and inline SPF.
 SWEEP = [
     RunSpec("tiny", seed=11, label="baseline"),
-    RunSpec(
-        "tiny",
-        seed=11,
-        filters_template=FilterSettings(
-            antivirus=False, reverse_dns=False, rbl=False
-        ),
-        label="no-filters",
-    ),
+    RunSpec("tiny", seed=11, chain="cr-only", label="no-filters"),
     RunSpec(
         "tiny",
         seed=11,
@@ -36,7 +28,7 @@ SWEEP = [
     RunSpec(
         "tiny",
         seed=11,
-        filters_template=FilterSettings(spf=True),
+        chain="antivirus,reverse_dns,rbl,spf",
         label="inline-spf",
     ),
 ]

@@ -16,8 +16,8 @@ same deployment under five filter configurations and reports, for each:
 Each run also overlays the pack's **backscatter-storm** scenario (forged
 nonexistent senders at one spoofed victim domain), so the table shows
 how the same adversarial reflection load fares under each filter stack;
-an explicit ``filters_template`` always overrides whatever the scenario
-declares. The deployed configuration's machine verdict prints last.
+an explicit ``chain`` always overrides whatever the scenario declares.
+The deployed configuration's machine verdict prints last.
 
 Usage::
 
@@ -27,18 +27,17 @@ Usage::
 import argparse
 
 from repro.analysis import challenges, reflection, verdicts
-from repro.core.config import FilterSettings
 from repro.experiments import run_simulation
 from repro.scenarios import load_scenario
 from repro.util.render import TextTable
 
+#: (label, ``RunSpec.chain``): each configuration changes only the chain.
 CONFIGS = [
-    ("no filters (naive CR)", FilterSettings(
-        antivirus=False, reverse_dns=False, rbl=False)),
-    ("antivirus only", FilterSettings(reverse_dns=False, rbl=False)),
-    ("antivirus + reverse DNS", FilterSettings(rbl=False)),
-    ("full product (AV+rDNS+RBL)", None),  # per-company defaults
-    ("full product + inline SPF", FilterSettings(spf=True)),
+    ("no filters (naive CR)", "cr-only"),
+    ("antivirus only", "antivirus"),
+    ("antivirus + reverse DNS", "antivirus,reverse_dns"),
+    ("full product (AV+rDNS+RBL)", "default"),
+    ("full product + inline SPF", "antivirus,reverse_dns,rbl,spf"),
 ]
 
 
@@ -63,13 +62,10 @@ def main() -> None:
         f"(scenario: {storm.name})",
     )
     deployed_result = None
-    for label, filters in CONFIGS:
+    for label, chain in CONFIGS:
         print(f"running: {label} ...")
         result = run_simulation(
-            args.preset,
-            seed=args.seed,
-            filters_template=filters,
-            scenario=storm,
+            args.preset, seed=args.seed, chain=chain, scenario=storm
         )
         if label.startswith("full product ("):
             deployed_result = result

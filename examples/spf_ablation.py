@@ -9,6 +9,10 @@ actually *deploys* SPF in the product's filter chain, then compares:
 * the measured difference between the baseline deployment and one with
   the inline SPF filter (challenges avoided, solved challenges lost).
 
+The ablation changes only the filter chain — the product chain with
+``spf`` appended — so every company keeps its own antivirus rate and
+RBL provider.
+
 The baseline and ablation runs are independent, so they fan out over the
 parallel runner (two worker processes by default) and land in the shared
 result cache — re-running the study with unchanged parameters simulates
@@ -23,7 +27,6 @@ Usage::
 import argparse
 
 from repro.analysis import challenges, spf_study
-from repro.core.config import FilterSettings
 from repro.experiments import RunSpec, run_specs
 from repro.util.render import TextTable
 
@@ -47,7 +50,7 @@ def main() -> None:
             RunSpec(
                 args.preset,
                 seed=args.seed,
-                filters_template=FilterSettings(spf=True),
+                chain="antivirus,reverse_dns,rbl,spf",
                 label="inline-spf",
             ),
         ],

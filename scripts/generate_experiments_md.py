@@ -219,8 +219,8 @@ def main() -> None:
     parts.append(
         "The comparison the paper could only cite (Sec. 1, Erickson et "
         "al.): the same simulated deployment re-run under each filter-chain "
-        "composition — pure CR (no auxiliary filters), the shipped product "
-        "chain, an online naive-Bayes content filter alone, a sender-"
+        "composition — pure CR (no auxiliary filters), the `default` "
+        "product chain, an online naive-Bayes content filter alone, a sender-"
         "reputation filter alone, and the full hybrid — across the whole "
         "scenario pack, with end-to-end inbox-truth false-positive and "
         "false-negative rates per cell (averaged over seeds 3/5/7). "

@@ -11,6 +11,9 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_run.py --preset small --seed 11
     PYTHONPATH=src python scripts/profile_run.py --top 40 --sort tottime
+    PYTHONPATH=src python scripts/profile_run.py --shards 2 --spill-dir spill
+
+Every simulation flag of ``python -m repro run`` is accepted.
 """
 
 from __future__ import annotations
@@ -19,18 +22,16 @@ import argparse
 import cProfile
 import pathlib
 import pstats
-import shutil
 import sys
-import tempfile
 import time
 
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.experiments import run_simulation  # noqa: E402
+from repro.cli import add_sim_args, spec_from_args  # noqa: E402
+from repro.experiments import simulate  # noqa: E402
 from repro.experiments.registry import run_all  # noqa: E402
-from repro.util.simtime import DAY  # noqa: E402
 
 
 def _print_stats(profiler: cProfile.Profile, sort: str, top: int) -> None:
@@ -40,62 +41,9 @@ def _print_stats(profiler: cProfile.Profile, sort: str, top: int) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--preset",
-        default="small",
-        help="scale preset to simulate (default: small)",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument(
-        "--faults",
-        default=None,
-        help="fault-injection preset (off/mild/stormy; default: off)",
-    )
-    parser.add_argument(
-        "--audit",
-        action="store_true",
-        help="enable the continuous lifecycle audit (to profile its cost)",
-    )
-    parser.add_argument(
-        "--crashes",
-        default=None,
-        help="crash-fault preset (off/rare/flaky; default: off)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=None,
-        metavar="DAYS",
-        help="write snapshots every N sim-days (to profile their cost)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the sharded data plane with N company shards",
-    )
-    parser.add_argument(
-        "--shard-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="concurrent shard workers (1 = sequential in-process)",
-    )
-    parser.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "spill store chunks under DIR (default: a temporary "
-            "directory when --spill is given)"
-        ),
-    )
-    parser.add_argument(
-        "--spill",
-        action="store_true",
-        help="enable the streaming spill store in a temporary directory",
-    )
+    # The run flags of `python -m repro run`, mapped onto the RunSpec.
+    add_sim_args(parser)
+    parser.set_defaults(preset="small", seed=11)
     parser.add_argument(
         "--top", type=int, default=25, help="hotspot rows to print per stage"
     )
@@ -105,33 +53,11 @@ def main(argv=None) -> int:
         help="pstats sort key (cumulative, tottime, ncalls, ...)",
     )
     args = parser.parse_args(argv)
-
-    checkpoint_dir = None
-    if args.checkpoint_every is not None:
-        checkpoint_dir = tempfile.mkdtemp(prefix="profile-ckpt-")
-    spill_dir = args.spill_dir
-    spill_tmp = None
-    if args.spill and spill_dir is None:
-        spill_dir = spill_tmp = tempfile.mkdtemp(prefix="profile-spill-")
+    spec = spec_from_args(args)
 
     sim_profiler = cProfile.Profile()
     sim_profiler.enable()
-    result = run_simulation(
-        args.preset,
-        seed=args.seed,
-        faults=args.faults,
-        audit=args.audit,
-        crashes=args.crashes,
-        checkpoint_every=(
-            args.checkpoint_every * DAY
-            if args.checkpoint_every is not None
-            else None
-        ),
-        checkpoint_dir=checkpoint_dir,
-        shards=args.shards,
-        shard_jobs=args.shard_jobs,
-        spill_dir=spill_dir,
-    )
+    result = simulate(spec)
     sim_profiler.disable()
 
     result.store.drop_indices()  # profile a cold analysis index
@@ -199,8 +125,8 @@ def main(argv=None) -> int:
 
         # Sharded runs snapshot under per-shard subdirectories; time the
         # restore of shard 0's newest snapshot in that case.
-        snapshot = latest_checkpoint(checkpoint_dir) or latest_checkpoint(
-            pathlib.Path(checkpoint_dir) / "shard-0"
+        snapshot = latest_checkpoint(spec.checkpoint_dir) or latest_checkpoint(
+            pathlib.Path(spec.checkpoint_dir) / "shard-0"
         )
         if snapshot is not None:
             started_restore = time.perf_counter()
@@ -209,11 +135,7 @@ def main(argv=None) -> int:
                 f"restore from {pathlib.Path(snapshot).name}: "
                 f"{time.perf_counter() - started_restore:.3f}s"
             )
-    if checkpoint_dir is not None:
-        shutil.rmtree(checkpoint_dir, ignore_errors=True)
     print(f"report generation: {report_seconds:.3f}s, {len(report)} chars")
-    if spill_tmp is not None:
-        shutil.rmtree(spill_tmp, ignore_errors=True)
 
     print(f"\n--- simulation hotspots (top {args.top}, {args.sort}) ---")
     _print_stats(sim_profiler, args.sort, args.top)

@@ -5,7 +5,7 @@ beats content filtering on false positives (§1, citing Erickson et
 al.). With the baselines now living *inside* the dispatcher's chain
 (:mod:`repro.core.filters.content` / ``reputation``), this experiment
 produces the table the paper could not: the same simulated deployment
-re-run under each chain composition — pure CR, the shipped product
+re-run under each chain composition — pure CR, the ``default`` product
 chain, each baseline alone, and the full hybrid — across every scenario
 in the declarative pack, with end-to-end false-positive and
 false-negative rates per cell, averaged over seeds.
@@ -21,7 +21,9 @@ Registered as experiment id ``frontier``. :func:`check_frontier` is the
 machine-checked non-degeneracy gate CI runs: every cell must evaluate
 (both classes observed, no failed runs), and pure CR must beat the
 naive-Bayes chain on false positives in clean weather — the paper's
-headline claim, now measured instead of cited.
+headline claim, now measured instead of cited. The clean row is the
+Erickson et al. comparison itself; ``repro sweep`` reports the same
+per-seed accounting through :func:`render_sweep`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.store import LogStore
-from repro.core.config import FilterChainSpec
 from repro.core.message import MessageKind
 from repro.core.spools import Category
 from repro.util.render import TextTable
@@ -39,12 +40,12 @@ from repro.util.stats import safe_ratio
 #: Row label for the scenario-free (clean weather, no attacks) row.
 CLEAN = "(clean)"
 
-#: Frontier columns: (label, chain argument for ``run_simulation``).
-#: ``None`` is the legacy product build — deliberately, so its runs
-#: share cache entries with every other default-chain sweep.
+#: Frontier columns: (label, ``RunSpec.chain``). The ``default`` chain
+#: resolves like ``chain=None``, so its runs share cache entries with
+#: every other default-chain sweep.
 FRONTIER_CHAINS: Tuple[Tuple[str, object], ...] = (
     ("cr-only", "cr-only"),
-    ("product", None),
+    ("default", "default"),
     ("naive-bayes", "naive-bayes"),
     ("reputation", "reputation"),
     ("hybrid", "hybrid"),
@@ -108,11 +109,9 @@ class FrontierResult:
 def delivery_counts(store: LogStore) -> Tuple[int, int, int, int]:
     """End-to-end (spam_total, spam_delivered, legit_total, legit_lost).
 
-    Same inbox-truth accounting as
-    :func:`repro.baselines.comparison.compare_defences` applies to the CR
-    side, over the *whole* run (in-chain filters train online, so there
-    is no offline train/test split to respect). Single streaming pass —
-    safe on spilled and merged stores.
+    Inbox truth over the *whole* run (in-chain filters train online, so
+    there is no offline train/test split to respect). Single streaming
+    pass — safe on spilled and merged stores.
     """
     released = {record.msg_id for record in store.releases}
     spam_total = spam_delivered = legit_total = legit_lost = 0
@@ -129,8 +128,8 @@ def delivery_counts(store: LogStore) -> Tuple[int, int, int, int]:
             if delivered:
                 spam_delivered += 1
         elif record.kind is MessageKind.LEGIT and record.env_from:
-            # Same exclusions as the offline comparison: newsletters and
-            # null-sender bounces are not person-to-person mail.
+            # Newsletters and null-sender bounces are not
+            # person-to-person mail.
             legit_total += 1
             if not delivered:
                 legit_lost += 1
@@ -292,6 +291,31 @@ def render(result: FrontierResult) -> str:
     return "\n".join(lines)
 
 
+def render_sweep(summaries) -> str:
+    """Per-seed end-to-end FP/FN of one chain over a multi-seed sweep
+    (``repro sweep``): how far one deployment's point moves with the
+    seed."""
+    table = TextTable(
+        headers=["seed", "FP (legit lost)", "FN (spam in)", "legit", "spam"],
+        title=(
+            f"End-to-end FP/FN across {len(summaries)} independent "
+            "deployments"
+        ),
+    )
+    for summary in summaries:
+        spam_total, spam_in, legit_total, legit_lost = delivery_counts(
+            summary.store
+        )
+        table.add_row(
+            summary.seed,
+            f"{100.0 * safe_ratio(legit_lost, legit_total):.2f}%",
+            f"{100.0 * safe_ratio(spam_in, spam_total):.4f}%",
+            legit_total,
+            spam_total,
+        )
+    return table.render()
+
+
 def render_result(result, jobs: Optional[int] = None) -> str:
     """Experiment-registry adapter.
 
@@ -327,5 +351,6 @@ __all__ = [
     "check_frontier",
     "build_table",
     "render",
+    "render_sweep",
     "render_result",
 ]

@@ -5,8 +5,8 @@ Commands:
 * ``run`` — simulate a deployment and print summary statistics;
 * ``experiment`` — regenerate one (or all) of the paper's tables/figures;
 * ``sweep`` — re-simulate across several seeds in parallel (``--jobs``)
-  and report cross-seed stability of the Fig. 5 correlations and the
-  CR-vs-Bayes comparison;
+  and report cross-seed stability of the Fig. 5 correlations and each
+  seed's end-to-end false-positive/false-negative rates;
 * ``serve`` — run the live asyncio SMTP/HTTP frontend over a simulated
   deployment (WAL-durable, backpressured; see DESIGN.md §15);
 * ``sstress`` — open-loop load generator against a running ``serve``;
@@ -15,17 +15,20 @@ Commands:
 
 ``run``, ``experiment``, ``company`` and ``sweep`` all accept
 ``--scenario <name>`` to overlay a declarative scenario (attacks, fault
-weather, filter overrides, verdict checks) from the ``scenarios/`` pack.
+weather, filter chain, verdict checks) from the ``scenarios/`` pack.
+Their simulation flags map onto :class:`~repro.experiments.runner.RunSpec`
+fields of the same name.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from repro._version import __version__
-from repro.experiments import run_simulation
+from repro.experiments.runner import RunSpec, simulate
 from repro.experiments.registry import (
     CANONICAL_ORDER,
     EXPERIMENTS,
@@ -58,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run", help="simulate a deployment and print summary statistics"
     )
-    _add_sim_args(run_parser)
+    _add_run_args(run_parser)
     run_parser.add_argument(
         "--save",
         metavar="PATH",
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_parser = subparsers.add_parser(
         "experiment", help="regenerate paper tables/figures"
     )
-    _add_sim_args(exp_parser)
+    _add_run_args(exp_parser)
     exp_parser.add_argument(
         "ids",
         nargs="*",
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     company_parser = subparsers.add_parser(
         "company", help="per-installation drill-down report"
     )
-    _add_sim_args(company_parser)
+    _add_run_args(company_parser)
     company_parser.add_argument(
         "company_ids",
         nargs="*",
@@ -133,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--filters",
+        dest="chain",
         default=None,
         metavar="CHAIN",
         help=(
@@ -249,7 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_sim_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    add_sim_args(parser)
+    parser.add_argument(
+        "--load",
+        metavar="PATH",
+        help="analyse a previously saved run instead of simulating",
+    )
+
+
+def add_sim_args(parser: argparse.ArgumentParser) -> None:
+    """The simulation flags; :func:`spec_from_args` maps them onto a
+    :class:`RunSpec`."""
     parser.add_argument(
         "--preset",
         default="tiny",
@@ -332,12 +347,14 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--filters",
+        dest="chain",
         default=None,
         metavar="CHAIN",
         help=(
             "auxiliary filter-chain composition: a preset "
             f"({', '.join(chain_preset_names())}) or a comma list of "
-            "members, e.g. antivirus,content (default: the product chain)"
+            "members, e.g. antivirus,content (default: the scenario's chain, "
+            "else the default product chain)"
         ),
     )
     parser.add_argument(
@@ -350,11 +367,24 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
             ".yaml file"
         ),
     )
-    parser.add_argument(
-        "--load",
-        metavar="PATH",
-        help="analyse a previously saved run instead of simulating",
-    )
+
+
+def spec_from_args(args: argparse.Namespace) -> RunSpec:
+    """The :class:`RunSpec` the parsed flags declare: every flag whose
+    destination names a spec field maps onto it (``--filters`` is
+    ``chain``)."""
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunSpec)
+        if hasattr(args, f.name)
+    }
+    if given.get("checkpoint_every") is not None:
+        # The CLI speaks days; the engine sim-seconds.
+        given["checkpoint_every"] *= DAY
+        given["checkpoint_dir"] = (
+            given.get("checkpoint_dir") or DEFAULT_CLI_CHECKPOINT_DIR
+        )
+    return RunSpec(**given)
 
 
 def _load_or_run(args: argparse.Namespace):
@@ -362,34 +392,9 @@ def _load_or_run(args: argparse.Namespace):
         from repro.analysis.persistence import load_run
 
         return load_run(args.load)
-    if getattr(args, "resume_from", None):
-        # For sharded runs --resume-from names the checkpoint *root*
-        # (each shard resumes from its own shard-<k>/ subdirectory).
-        return run_simulation(
-            resume_from=args.resume_from,
-            shards=getattr(args, "shards", None),
-            shard_jobs=getattr(args, "shard_jobs", None),
-            spill_dir=getattr(args, "spill_dir", None),
-        )
-    checkpoint_every = getattr(args, "checkpoint_every", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if checkpoint_every is not None:
-        checkpoint_every *= DAY  # CLI speaks days; the engine sim-seconds
-        checkpoint_dir = checkpoint_dir or DEFAULT_CLI_CHECKPOINT_DIR
-    return run_simulation(
-        args.preset,
-        seed=args.seed,
-        faults=getattr(args, "faults", None),
-        audit=getattr(args, "audit", False),
-        crashes=getattr(args, "crashes", None),
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        shards=getattr(args, "shards", None),
-        shard_jobs=getattr(args, "shard_jobs", None),
-        spill_dir=getattr(args, "spill_dir", None),
-        scenario=getattr(args, "scenario", None),
-        chain=getattr(args, "filters", None),
-    )
+    # For sharded runs --resume-from names the checkpoint *root* (each
+    # shard resumes from its own shard-<k>/ subdirectory).
+    return simulate(spec_from_args(args))
 
 
 def _command_run(args: argparse.Namespace) -> int:
@@ -470,9 +475,8 @@ def _command_company(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis import variability
-    from repro.baselines import comparison
-    from repro.experiments.parallel import ParallelRunner, RunCache, RunSpec
+    from repro.analysis import frontier, variability
+    from repro.experiments.parallel import ParallelRunner, RunCache
 
     if args.runs < 1:
         print("--runs must be >= 1", file=sys.stderr)
@@ -488,20 +492,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
         f"sweeping preset={args.preset!r} over seeds {seeds} "
         f"with jobs={args.jobs} ..."
     )
-    summaries = runner.run(
-        [
-            RunSpec(
-                preset=args.preset,
-                seed=seed,
-                faults=args.faults,
-                audit=args.audit,
-                crashes=args.crashes,
-                scenario=args.scenario,
-                chain=args.filters,
-            )
-            for seed in seeds
-        ]
-    )
+    spec = spec_from_args(args)
+    summaries = runner.run([replace(spec, seed=seed) for seed in seeds])
     failed = [s for s in summaries if s.failed]
     for summary in failed:
         print(
@@ -515,9 +507,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     print()
     print(variability.render_sweep(variability.sweep_from_summaries(summaries)))
     print()
-    print(
-        comparison.render_sweep(comparison.defences_from_summaries(summaries))
-    )
+    print(frontier.render_sweep(summaries))
     print(
         f"\n{runner.runs_executed} simulated, {runner.cache_hits} from cache, "
         f"{len(failed)} failed"
@@ -598,8 +588,8 @@ def _command_scenarios(_args: argparse.Namespace) -> int:
             extras.append(f"faults={spec.faults}")
         if spec.crashes is not None:
             extras.append(f"crashes={spec.crashes}")
-        if spec.filters:
-            extras.append("filter overrides")
+        if spec.chain:
+            extras.append(f"chain={spec.chain_spec().members}")
         detail = f"      attacks: {attacks or '(none)'}"
         if extras:
             detail += f"; {'; '.join(extras)}"

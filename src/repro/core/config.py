@@ -20,17 +20,14 @@ from repro.net.faults import (  # noqa: F401  (re-export)
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Which auxiliary filters the installation runs on gray mail.
+    """Per-company tuning of the auxiliary filters.
 
-    The commercial product in the paper ran antivirus, reverse-DNS, and a
-    SpamHaus IP blacklist; SPF was evaluated only offline (Fig. 12), so it
-    defaults to off here too.
+    Which filters run, and in which order, is the run's
+    :class:`FilterChainSpec`; these settings only tune the members that
+    need per-installation data: the antivirus detection rate and the IP
+    blacklist the RBL filter queries.
     """
 
-    antivirus: bool = True
-    reverse_dns: bool = True
-    rbl: bool = True
-    spf: bool = False
     antivirus_detection_rate: float = 0.98
     rbl_provider: str = "spamhaus-zen"
 
@@ -42,7 +39,7 @@ FILTER_MEMBERS = (
     "antivirus", "reverse_dns", "rbl", "spf", "content", "reputation",
 )
 
-#: The legacy product chain — what :class:`FilterSettings` defaults build.
+#: The product chain the paper's deployment ran (SPF stayed offline).
 DEFAULT_CHAIN_MEMBERS = ("antivirus", "reverse_dns", "rbl")
 
 #: Named chain compositions the CLI / frontier experiment accept.
@@ -71,12 +68,8 @@ class FilterChainSpec:
     in order — the chain short-circuits on the first drop, so order is
     part of the configuration. Per-member knobs (thresholds, windows)
     live here rather than on the filters so one spec fully determines
-    the chain.
-
-    ``None`` everywhere a chain is accepted means "the legacy
-    :class:`FilterSettings`-gated build" — byte-identical to the
-    pre-spec behaviour, which is what keeps the scenario-free goldens
-    pinned.
+    the chain. The default instance is the ``default`` preset, the
+    product chain every scenario-free run uses.
     """
 
     members: Tuple[str, ...] = DEFAULT_CHAIN_MEMBERS
@@ -111,7 +104,8 @@ class FilterChainSpec:
     def parse(cls, value) -> "Optional[FilterChainSpec]":
         """Coerce the accepted chain notations into a spec.
 
-        ``None`` passes through (legacy build); specs pass through; a
+        ``None`` passes through (the run resolves it to the scenario's
+        chain, else the ``default`` preset); specs pass through; a
         string is either a preset name (``"hybrid"``) or a comma list of
         members (``"antivirus,content"``).
         """

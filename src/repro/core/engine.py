@@ -37,7 +37,7 @@ from repro.core.config import CompanyConfig, FilterChainSpec
 from repro.core.digest import DigestAction, DigestCounters, DigestDecision
 from repro.core.dispatcher import Dispatcher
 from repro.core.filters.antivirus import AntivirusFilter
-from repro.core.filters.base import FilterChain, SpamFilter
+from repro.core.filters.base import FilterChain
 from repro.core.filters.content import OnlineNaiveBayesFilter
 from repro.core.filters.rbl import RblFilter
 from repro.core.filters.reputation import SenderReputationFilter
@@ -101,7 +101,7 @@ class CompanyInstallation:
         hooks: Optional[BehaviorHooks] = None,
         challenge_size: int = DEFAULT_CHALLENGE_SIZE,
         audit: bool = False,
-        chain: Optional[FilterChainSpec] = None,
+        chain: FilterChainSpec = FilterChainSpec(),
         outbound_factory: Optional[
             Callable[[str, str, Simulator, Internet], OutboundMta]
         ] = None,
@@ -157,26 +157,11 @@ class CompanyInstallation:
         self,
         dnsbl_services: Mapping[str, DnsblService],
         rng: random.Random,
-        chain: Optional[FilterChainSpec] = None,
+        chain: FilterChainSpec,
     ) -> FilterChain:
+        # The spec names members in chain order; the per-company
+        # FilterSettings supply antivirus/RBL tuning.
         settings = self.config.filters
-        if chain is None:
-            # Legacy build: FilterSettings toggles, fixed product order.
-            filters: list[SpamFilter] = []
-            if settings.antivirus:
-                filters.append(
-                    AntivirusFilter(settings.antivirus_detection_rate, rng)
-                )
-            if settings.reverse_dns:
-                filters.append(ReverseDnsFilter(self.resolver))
-            if settings.rbl:
-                filters.append(self._rbl_filter(dnsbl_services, settings))
-            if settings.spf:
-                filters.append(SpfFilter(self.spf_evaluator))
-            return FilterChain(filters)
-
-        # Declarative build: the spec names members in chain order; the
-        # per-company FilterSettings still supply antivirus/RBL tuning.
         builders = {
             "antivirus": lambda: AntivirusFilter(
                 settings.antivirus_detection_rate, rng

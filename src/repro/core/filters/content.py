@@ -5,17 +5,15 @@ Two layers live here:
 * :class:`NaiveBayesFilter` — the multinomial naive-Bayes classifier with
   Laplace smoothing over subject tokens (the only "content" the
   measurement pipeline retains — like the paper, we never see message
-  bodies). It is the shared math: the offline CR-vs-Bayes comparison in
-  :mod:`repro.baselines` trains it post-hoc on logged records, and the
-  online chain member below trains it incrementally during the run.
+  bodies). It can also be trained post-hoc on logged records; the online
+  chain member below trains it incrementally during the run.
 
 * :class:`OnlineNaiveBayesFilter` — a :class:`~repro.core.filters.base.SpamFilter`
   wrapping the classifier so it runs *inside* the dispatcher's chain.
   It scores each gray message first, then folds the message's label into
   the model, so a message never trains on itself. Labels come from the
   workload's ground truth, standing in for the user-feedback / honeypot
-  corpora a real operator retrains from — the same modelling stance the
-  offline baseline already takes.
+  corpora a real operator retrains from.
 
 Scoring cost note: token totals and the vocabulary are maintained
 incrementally by :meth:`NaiveBayesFilter.train`, so one

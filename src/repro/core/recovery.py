@@ -78,8 +78,7 @@ class RunState:
     #: Value of the global message-id counter at snapshot time.
     msg_id_counter: int = 0
     #: Resolved :class:`repro.scenarios.ScenarioSpec` of a scenario run
-    #: (``None`` otherwise); read back with ``getattr`` so snapshots
-    #: written before the field existed still restore.
+    #: (``None`` otherwise).
     scenario: object = None
 
 

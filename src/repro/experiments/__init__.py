@@ -2,18 +2,23 @@
 fanned out over a process pool), then regenerate each of the paper's
 tables and figures from its logs."""
 
-from repro.experiments.runner import SimulationResult, run_simulation
+from repro.experiments.runner import (
+    RunSpec,
+    SimulationResult,
+    run_simulation,
+    simulate,
+)
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.parallel import (
     ParallelRunner,
     RunCache,
-    RunSpec,
     RunSummary,
     run_specs,
 )
 
 __all__ = [
     "run_simulation",
+    "simulate",
     "SimulationResult",
     "EXPERIMENTS",
     "run_experiment",

@@ -1,7 +1,7 @@
 """Parallel multi-run execution with deterministic result merging.
 
 Every multi-run study in this repo — the Fig. 5 variability sweep, the
-filter ablations, the baseline comparison — re-simulates the deployment
+filter ablations, the FP/FN frontier — re-simulates the deployment
 across seeds and configurations, and each run is independent of the
 others. This module fans those runs out across worker processes and
 merges the results back **in spec order**, so callers see exactly the
@@ -28,9 +28,10 @@ Three design points worth knowing:
   pool (preferring the ``fork`` start method so children share the
   parent's hash seed) is only spun up for two or more uncached specs.
 
-* **The result cache.** Each spec hashes to a key covering the resolved
-  scale config, seed, calibration, filter template, config overrides,
-  declarative scenario, and the package version; summaries are pickled
+* **The result cache.** Each spec hashes to a key covering every
+  resolved :class:`~repro.experiments.runner.RunSpec` field that changes
+  the run (scale config, seed, calibration, config overrides, weather,
+  scenario, chain, ...) and the package version; summaries are pickled
   under ``.cache/runs/<key>.pkl``
   (override with ``$REPRO_CACHE_DIR``). Re-running a benchmark or ablation
   sweep with an unchanged spec set performs zero simulations. The runner
@@ -49,19 +50,16 @@ import tempfile
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.analysis.context import DeploymentInfo
 from repro.analysis.persistence import encoded_records
 from repro.analysis.store import TABLES, LogStore
-from repro.core.config import CompanyConfig, FilterChainSpec, FilterSettings
+from repro.core.config import CompanyConfig
 from repro.core.recovery import latest_checkpoint
-from repro.experiments.runner import SimulationResult, run_simulation
-from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.workload.scale import ScaleConfig, get_preset
+from repro.experiments.runner import RunSpec, SimulationResult, simulate
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".cache/runs"
@@ -69,107 +67,6 @@ DEFAULT_CACHE_DIR = ".cache/runs"
 #: Default root for per-spec checkpoint directories (failed shards of a
 #: sweep resume from here instead of restarting from day 0).
 DEFAULT_CHECKPOINT_ROOT = ".cache/checkpoints"
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One independent simulation job: everything ``run_simulation`` needs.
-
-    Attack scenarios ride along declaratively: ``scenario`` names a pack
-    entry (or holds a resolved, hashable
-    :class:`~repro.scenarios.ScenarioSpec`), so scenario sweeps cache
-    and parallelise like every other spec. Raw ``scenarios`` *instances*
-    (arbitrary live objects) still have no place here — express the
-    attack as a spec instead.
-    """
-
-    preset: Union[str, ScaleConfig] = "tiny"
-    seed: int = 7
-    calibration: Optional[Calibration] = None
-    filters_template: Optional[FilterSettings] = None
-    config_overrides: Optional[dict] = None
-    #: Fault-injection preset name (``None`` = reliable substrate). A name
-    #: rather than a :class:`FaultSettings` keeps specs trivially
-    #: picklable and the cache key readable.
-    faults: Optional[str] = None
-    #: Run with the continuous lifecycle auditor on. Part of the cache key
-    #: even though audited output is byte-identical: a cached unaudited
-    #: summary must never satisfy a request to actually *audit* the run.
-    audit: bool = False
-    #: Crash-injection preset name (``None`` = no component crashes); a
-    #: name for the same reasons as ``faults``.
-    crashes: Optional[str] = None
-    #: Snapshot interval in sim-seconds (``None`` = no checkpointing).
-    #: Part of the cache key even though checkpointed output is
-    #: byte-identical: a request to write snapshots must actually execute
-    #: and write them, not be satisfied from the cache.
-    checkpoint_every: Optional[float] = None
-    #: Intra-run company shards (``None`` = the plain single-process
-    #: engine). Cached summaries are digest-identical either way, but a
-    #: request to exercise the sharded data plane must actually run it.
-    shards: Optional[int] = None
-    #: Run with the streaming spill store (a per-spec temporary
-    #: directory). Output is digest-identical to in-memory; in the cache
-    #: key for the same reason as ``audit``.
-    spill: bool = False
-    #: Declarative attack scenario: a pack name or a resolved
-    #: :class:`~repro.scenarios.ScenarioSpec` (``None`` = no scenario).
-    #: Folded into the cache key as the *resolved* spec, so editing a
-    #: scenario's YAML invalidates its cached runs.
-    scenario: object = None
-    #: Filter-chain composition: a preset name, comma list, or resolved
-    #: :class:`~repro.core.config.FilterChainSpec` (``None`` = the legacy
-    #: product chain). Folded into the cache key as the resolved spec.
-    chain: object = None
-    #: Free-form display name (not part of the cache key).
-    label: str = ""
-
-    def resolved_scale(self) -> ScaleConfig:
-        return (
-            get_preset(self.preset)
-            if isinstance(self.preset, str)
-            else self.preset
-        )
-
-    def cache_key(self) -> str:
-        """Content hash of the spec, tied to the package version.
-
-        Built from dataclass ``repr``s, which are deterministic for the
-        frozen config types involved; overrides are sorted so dict
-        insertion order never changes the key.
-        """
-        overrides = sorted((self.config_overrides or {}).items())
-        canonical_fields: tuple = (
-            __version__,
-            self.resolved_scale(),
-            self.seed,
-            self.calibration or DEFAULT_CALIBRATION,
-            self.filters_template,
-            overrides,
-            self.faults,
-            self.audit,
-            self.crashes,
-            self.checkpoint_every,
-        )
-        # Default-folding for fields added after entries were cached: a
-        # spec that leaves them at their defaults hashes exactly as it
-        # did before the fields existed, so old cache entries stay valid.
-        if self.shards is not None:
-            canonical_fields += (("shards", self.shards),)
-        if self.spill:
-            canonical_fields += (("spill", True),)
-        if self.scenario is not None:
-            from repro.scenarios import resolve_scenario
-
-            canonical_fields += (
-                ("scenario", resolve_scenario(self.scenario)),
-            )
-        if self.chain is not None:
-            canonical_fields += (
-                ("chain", FilterChainSpec.parse(self.chain)),
-            )
-        canonical = repr(canonical_fields)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -194,8 +91,7 @@ class RunSummary:
     #: order — two runs with equal digests produced identical logs.
     digest: str = ""
     #: The run's resolved :class:`~repro.scenarios.ScenarioSpec`
-    #: (``None`` for scenario-free runs); read with ``getattr`` — cache
-    #: entries pickled before the field existed restore without it.
+    #: (``None`` for scenario-free runs).
     scenario: object = None
     #: Traceback text when the spec ultimately failed (after its retry);
     #: ``None`` for a successful run. A failed summary carries an empty
@@ -234,14 +130,17 @@ def summarize_result(result: SimulationResult) -> RunSummary:
         seed=result.seed,
         wall_seconds=result.wall_seconds,
         digest=store_digest(result.store),
-        scenario=getattr(result, "scenario", None),
+        scenario=result.scenario,
     )
 
 
 def _spec_checkpoint_dir(spec: RunSpec, checkpoint_root) -> Optional[str]:
-    """Per-spec snapshot directory (content-addressed, collision-free)."""
+    """Per-spec snapshot directory: the spec's own, else a
+    content-addressed (collision-free) one under the checkpoint root."""
     if spec.checkpoint_every is None:
         return None
+    if spec.checkpoint_dir is not None:
+        return spec.checkpoint_dir
     root = checkpoint_root or os.environ.get(
         "REPRO_CHECKPOINT_ROOT", DEFAULT_CHECKPOINT_ROOT
     )
@@ -259,30 +158,26 @@ def _execute_spec(
     With *resume* set, a checkpointing spec first looks for its newest
     snapshot under its per-spec directory and continues from there — this
     is how a retried shard avoids redoing the part that already ran.
+
+    A spec with ``spill_dir`` spills into a private temporary directory
+    under it, and its summary is pulled back into memory before that
+    directory is removed. Shards run sequentially inside the worker.
     """
     directory = _spec_checkpoint_dir(spec, checkpoint_root)
     if resume and directory is not None:
         snapshot = latest_checkpoint(directory)
         if snapshot is not None:
-            return summarize_result(run_simulation(resume_from=snapshot))
-    spill_dir = tempfile.mkdtemp(prefix="repro-spill-") if spec.spill else None
+            return summarize_result(simulate(RunSpec(resume_from=snapshot)))
+    spill_dir = None
+    if spec.spill_dir is not None:
+        os.makedirs(spec.spill_dir, exist_ok=True)
+        spill_dir = tempfile.mkdtemp(prefix="repro-spill-", dir=spec.spill_dir)
     try:
-        result = run_simulation(
-            spec.preset,
-            seed=spec.seed,
-            calibration=spec.calibration,
-            filters_template=spec.filters_template,
-            config_overrides=spec.config_overrides,
-            faults=spec.faults,
-            audit=spec.audit,
-            crashes=spec.crashes,
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_dir=directory,
-            shards=spec.shards,
-            shard_jobs=1 if spec.shards else None,
-            spill_dir=spill_dir,
-            scenario=spec.scenario,
-            chain=spec.chain,
+        result = simulate(
+            replace(
+                spec, checkpoint_dir=directory, spill_dir=spill_dir,
+                shard_jobs=1,
+            )
         )
         if spill_dir is not None:
             # The spill directory dies with this call, so pull every

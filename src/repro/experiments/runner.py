@@ -1,7 +1,9 @@
 """Run one full simulated deployment and collect its measurement logs.
 
-``run_simulation`` is the single entry point used by tests, benchmarks, and
-examples: it builds the world, instantiates one
+A :class:`RunSpec` declares every input of a run. ``run_simulation``
+(keyword form) and :func:`simulate` (spec form) are the single entry point
+used by tests, benchmarks, and examples: a run builds the world,
+instantiates one
 :class:`~repro.core.engine.CompanyInstallation` per company, seeds the
 steady-state whitelists/blacklists, arms the blacklist probe monitor and the
 trace generator, runs the clock over the observation window (plus a drain
@@ -11,13 +13,15 @@ pipeline needs.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Union
 
+from repro._version import __version__
 from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import SPILL_CHUNK_ROWS, LogStore, SpillConfig
 from repro.blacklistd.monitor import BlacklistMonitor
@@ -398,165 +402,205 @@ class SimulationResult:
     scenario: object = None
 
 
+#: :class:`RunSpec` fields that never change what a run measures: its
+#: display name, where its files go, and how many processes do the work.
+#: Every other field is part of :meth:`RunSpec.cache_key`.
+NON_KEY_FIELDS = frozenset(
+    {"label", "checkpoint_dir", "resume_from", "spill_dir",
+     "spill_chunk_rows", "shard_jobs"}
+)
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Every input of one simulated run, frozen.
+
+    ``run_simulation``, the sharded runner, the sweep runner and the CLI
+    all take their inputs from this one declaration. Attacks come only
+    from ``scenario``; the filter chain only from ``chain``.
+
+    Fields that change the run are part of :meth:`cache_key` — even
+    ``audit``, ``checkpoint_every``, ``batch_delivery`` and ``shards``,
+    whose output is byte-identical: a request to exercise that machinery
+    must actually run it, not be answered from the cache. The fields in
+    :data:`NON_KEY_FIELDS` are not.
+    """
+
+    #: Scale preset name or an explicit :class:`ScaleConfig`.
+    preset: Union[str, ScaleConfig] = "tiny"
+    seed: int = 7
+    #: ``None`` = :data:`~repro.workload.calibration.DEFAULT_CALIBRATION`.
+    calibration: Optional[Calibration] = None
+    #: :class:`~repro.core.config.CompanyConfig` field replacements applied
+    #: to every company (the dedup ablation turns ``challenge_dedup`` off).
+    config_overrides: Optional[dict] = None
+    #: Network weather: a preset name (``"mild"``, ``"stormy"``, see
+    #: :data:`~repro.net.faults.FAULT_PRESETS`), a :class:`FaultSettings`,
+    #: or ``None`` for the scenario's weather, else a reliable substrate.
+    faults: Union[str, FaultSettings, None] = None
+    #: Continuous lifecycle auditing (:mod:`repro.core.ledger`);
+    #: ``REPRO_AUDIT=1`` does the same. The end-of-run conservation
+    #: verdict is enforced either way.
+    audit: bool = False
+    #: Component crashes: a preset name (``"rare"``, ``"flaky"``, see
+    #: :data:`~repro.net.crashes.CRASH_PRESETS`), a :class:`CrashSettings`,
+    #: or ``None``, with the same scenario fallback as ``faults``.
+    crashes: Union[str, CrashSettings, None] = None
+    #: Declarative attack scenario: a pack name, a ``.yaml`` path or a
+    #: :class:`~repro.scenarios.ScenarioSpec`. Its attacks are installed;
+    #: its weather and chain apply where the fields above are ``None``.
+    scenario: object = None
+    #: Auxiliary filter chain: a :class:`~repro.core.config.FilterChainSpec`,
+    #: a preset name (``"hybrid"``) or a comma list of members. ``None``
+    #: is the scenario's chain, else the ``default`` preset.
+    chain: object = None
+    #: Whole-state snapshot interval in sim-seconds (into
+    #: ``checkpoint_dir``); ``None`` = no checkpointing.
+    checkpoint_every: Optional[float] = None
+    #: ``False`` schedules each generated message as its own heap entry
+    #: instead of one batch per day: same draws, same store, slower. The
+    #: batched-vs-unbatched digest tests compare the two.
+    batch_delivery: bool = True
+    #: Partition the companies across this many workers (DESIGN.md §12);
+    #: the merged store is digest-identical to the single-process run.
+    shards: Optional[int] = None
+    #: Concurrent shard workers (default one per shard; ``1`` runs the
+    #: shards sequentially in-process).
+    shard_jobs: Optional[int] = None
+    checkpoint_dir: Optional[str] = None
+    #: Restore this snapshot and continue the run; every build-time field
+    #: is then taken from the snapshot. Sharded, it names the checkpoint
+    #: root holding one ``shard-<k>`` directory per shard.
+    resume_from: Optional[str] = None
+    #: Stream full chunks of ``spill_chunk_rows`` records to columnar
+    #: files under this directory, bounding the store's resident memory.
+    spill_dir: Optional[str] = None
+    spill_chunk_rows: Optional[int] = None
+    label: str = ""
+
+    def resolved(self) -> "RunSpec":
+        """This spec with every name and default looked up.
+
+        The result holds the :class:`ScaleConfig`, the calibration, the
+        :class:`~repro.scenarios.ScenarioSpec` and the
+        :class:`FilterChainSpec` the run actually uses, and the scenario's
+        weather where ``faults``/``crashes`` were ``None``, so two
+        notations of one run resolve (and hash) alike. Weather preset
+        names stay names until the run starts.
+        """
+        scenario, faults, crashes = None, self.faults, self.crashes
+        chain = FilterChainSpec.parse(self.chain)
+        if self.scenario is not None:
+            from repro.scenarios import resolve_scenario
+
+            scenario = resolve_scenario(self.scenario)
+            faults = scenario.faults if faults is None else faults
+            crashes = scenario.crashes if crashes is None else crashes
+            chain = chain or scenario.chain_spec()
+        return replace(
+            self,
+            preset=(
+                get_preset(self.preset)
+                if isinstance(self.preset, str)
+                else self.preset
+            ),
+            calibration=self.calibration or DEFAULT_CALIBRATION,
+            config_overrides=dict(
+                sorted((self.config_overrides or {}).items())
+            ),
+            faults=faults,
+            crashes=crashes,
+            scenario=scenario,
+            chain=chain or FilterChainSpec(),
+        )
+
+    def cache_key(self) -> str:
+        """Content hash of the resolved spec's key fields, tied to the
+        package version (bumping it retires every cached run).
+
+        Built from dataclass ``repr``s, which are deterministic for the
+        frozen config types involved.
+        """
+        resolved = self.resolved()
+        canonical = repr(
+            (__version__,)
+            + tuple(
+                (f.name, getattr(resolved, f.name))
+                for f in fields(self)
+                if f.name not in NON_KEY_FIELDS
+            )
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def run_simulation(
     preset: Union[str, ScaleConfig] = "tiny",
     seed: int = 7,
-    calibration: Optional[Calibration] = None,
-    filters_template=None,
-    scenarios: Sequence = (),
-    config_overrides: Optional[dict] = None,
-    faults: Union[str, FaultSettings, None] = None,
-    audit: bool = False,
-    crashes: Union[str, CrashSettings, None] = None,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    batch_delivery: bool = True,
-    shards: Optional[int] = None,
-    shard_jobs: Optional[int] = None,
-    spill_dir: Optional[str] = None,
-    spill_chunk_rows: Optional[int] = None,
+    *,
     shard_of: Optional[tuple] = None,
-    scenario=None,
-    chain=None,
+    **spec_fields,
 ) -> SimulationResult:
-    """Simulate one deployment at the given scale preset and seed.
+    """Simulate ``RunSpec(preset, seed, **spec_fields)``; see
+    :class:`RunSpec` for every field and :func:`simulate` for *shard_of*."""
+    return simulate(RunSpec(preset, seed, **spec_fields), shard_of=shard_of)
 
-    *filters_template* (a :class:`repro.core.config.FilterSettings`)
-    overrides every company's auxiliary-filter configuration; ablation
-    studies use it to switch individual filters on or off fleet-wide.
 
-    *scenarios* are extra traffic sources — typically
-    :class:`repro.workload.attacks.AttackScenario` instances — installed
-    alongside the regular trace generator.
+def simulate(
+    spec: RunSpec, shard_of: Optional[tuple] = None
+) -> SimulationResult:
+    """Run one deployment as *spec* declares it.
 
-    *scenario* names a declarative scenario from the YAML pack (or
-    passes a resolved :class:`repro.scenarios.ScenarioSpec` directly):
-    its attacks are built and installed, and its fault/crash/filter
-    settings apply wherever the corresponding explicit argument was left
-    at its default (explicit arguments win). The resolved spec rides on
-    ``SimulationResult.scenario`` for the ``verdicts`` experiment.
+    A fresh run builds the world, installs the product at every company,
+    arms the probe monitor, the trace generator, the scenario's attacks
+    and any fault/crash plans, then runs the clock (see
+    :func:`_finish_run`). ``resume_from`` instead restores a snapshot and
+    continues it; the store is byte-identical to the uninterrupted run's.
 
-    *faults* enables network-weather injection: a fault preset name
-    (``"mild"``, ``"stormy"`` — see
-    :data:`~repro.net.faults.FAULT_PRESETS`), an explicit
-    :class:`~repro.net.faults.FaultSettings`, or ``None``/``"off"``
-    (default) for the perfectly reliable substrate.
-
-    *audit* turns on the continuous lifecycle auditor (per-message state
-    tracking + transition validation in :mod:`repro.core.ledger`);
-    ``REPRO_AUDIT=1`` in the environment does the same. The end-of-run
-    conservation verdict is checked regardless — a violated partition
-    raises :class:`~repro.core.ledger.LedgerError` even with audit off.
-
-    *crashes* enables crash-fault injection inside the product itself: a
-    crash preset name (``"rare"``, ``"flaky"`` — see
-    :data:`~repro.net.crashes.CRASH_PRESETS`), an explicit
-    :class:`~repro.net.crashes.CrashSettings`, or ``None``/``"off"``
-    (default).
-
-    *checkpoint_every* (sim-seconds) arms periodic whole-state snapshots
-    into *checkpoint_dir*; *resume_from* restores such a snapshot and
-    continues the run instead of building a fresh one (every other
-    build-time parameter is then taken from the snapshot). A resumed run
-    produces a byte-identical measurement store to the uninterrupted one.
-
-    *batch_delivery=False* schedules each generated message as its own
-    heap entry instead of one EventBatch per day — same draws, same
-    sort, same ids, so the measurement store must be bit-identical; the
-    engine-batching property tests pin exactly that.
-
-    *shards* > 1 partitions the companies across that many worker
-    processes (DESIGN.md §12) and returns the deterministically merged
-    result — same store digest as ``shards=1``. *shard_jobs* bounds the
-    worker processes (default: one per shard; ``1`` runs the shards
-    sequentially in-process). *spill_dir* bounds the store's resident
-    memory by spilling full chunks of *spill_chunk_rows* records to
-    columnar files under that directory. *shard_of* ``(index, n_shards)``
-    is internal: it marks this invocation as one shard's worker.
-
-    *chain* selects the auxiliary filter-chain composition: a
-    :class:`~repro.core.config.FilterChainSpec`, a preset name
-    (``"hybrid"``), a comma list of members (``"antivirus,content"``),
-    or ``None`` (default) for the legacy :class:`FilterSettings`-gated
-    product chain — which is byte-identical to pre-spec behaviour. A
-    scenario's declared chain applies only when this argument is
-    ``None``.
+    ``shards`` > 1 hands the spec to
+    :func:`repro.experiments.sharded.run_sharded_simulation`. *shard_of*
+    ``(index, n_shards)`` is its internal marker for one shard's
+    worker.
     """
-    chain = FilterChainSpec.parse(chain)
-    if shard_of is None and shards is not None and shards > 1:
+    if shard_of is None and spec.shards is not None and spec.shards > 1:
         from repro.experiments.sharded import run_sharded_simulation
 
-        return run_sharded_simulation(
-            preset,
-            seed=seed,
-            calibration=calibration,
-            filters_template=filters_template,
-            scenarios=scenarios,
-            config_overrides=config_overrides,
-            faults=faults,
-            audit=audit,
-            crashes=crashes,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            batch_delivery=batch_delivery,
-            shards=shards,
-            jobs=shard_jobs,
-            spill_dir=spill_dir,
-            spill_chunk_rows=spill_chunk_rows,
-            scenario=scenario,
-            chain=chain,
-        )
+        return run_sharded_simulation(spec)
 
     started = time.perf_counter()
+    resume_from = spec.resume_from
     if resume_from is not None:
         restore_started = time.perf_counter()
         state = load_checkpoint(resume_from)
         restore_seconds = time.perf_counter() - restore_started
-        if checkpoint_every is not None and state.checkpointer is None:
-            directory = checkpoint_dir or os.path.dirname(resume_from)
-            checkpointer = Checkpointer(state, directory, checkpoint_every)
+        if spec.checkpoint_every is not None and state.checkpointer is None:
+            directory = spec.checkpoint_dir or os.path.dirname(resume_from)
+            checkpointer = Checkpointer(state, directory, spec.checkpoint_every)
             checkpointer.arm()
         return _finish_run(
             state, started,
             restored_from=resume_from, restore_seconds=restore_seconds,
         )
 
-    audit = audit or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
-    scale = get_preset(preset) if isinstance(preset, str) else preset
-    calibration = calibration or DEFAULT_CALIBRATION
-    scenario_spec = None
-    scenarios = list(scenarios)
-    if scenario is not None:
-        from repro.scenarios import resolve_scenario
-
-        scenario_spec = resolve_scenario(scenario)
-        # Scenario-declared weather and filters apply only where the
-        # caller left the explicit argument at its default.
-        if faults is None:
-            faults = scenario_spec.faults
-        if crashes is None:
-            crashes = scenario_spec.crashes
-        if filters_template is None:
-            filters_template = scenario_spec.filters_template()
-        if chain is None:
-            chain = scenario_spec.chain_spec()
-        scenarios.extend(scenario_spec.build_attacks())
-    fault_settings = get_fault_preset(faults) if isinstance(faults, str) else faults
-    crash_settings = get_crash_preset(crashes) if isinstance(crashes, str) else crashes
+    spec = spec.resolved()
+    faults, crashes = spec.faults, spec.crashes
+    if isinstance(faults, str):
+        faults = get_fault_preset(faults)
+    if isinstance(crashes, str):
+        crashes = get_crash_preset(crashes)
+    audit = spec.audit or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
+    scale = spec.preset
+    calibration = spec.calibration
+    attacks = spec.scenario.build_attacks() if spec.scenario else []
     reset_msg_ids()
 
-    streams = RngStreams(seed)
-    world = build_world(
-        scale, calibration, streams, filters_template, config_overrides
-    )
+    streams = RngStreams(spec.seed)
+    world = build_world(scale, calibration, streams, spec.config_overrides)
     simulator = Simulator()
     spill = None
-    if spill_dir is not None:
+    if spec.spill_dir is not None:
         spill = SpillConfig(
-            directory=spill_dir,
-            chunk_rows=spill_chunk_rows or SPILL_CHUNK_ROWS,
+            directory=spec.spill_dir,
+            chunk_rows=spec.spill_chunk_rows or SPILL_CHUNK_ROWS,
         )
     store = LogStore(spill=spill)
     behavior = BehaviorModel(world, calibration, streams)
@@ -573,9 +617,9 @@ def run_simulation(
 
     horizon = scale.n_days * DAY
     fault_plan = None
-    if fault_settings is not None and fault_settings.enabled:
+    if faults is not None and faults.enabled:
         fault_plan = FaultPlan(
-            fault_settings, seed=seed, horizon=horizon, clock=simulator
+            faults, seed=spec.seed, horizon=horizon, clock=simulator
         )
         world.install_fault_plan(fault_plan)
     installations: dict[str, CompanyInstallation] = {}
@@ -600,7 +644,7 @@ def run_simulation(
             hooks=hooks,
             challenge_size=calibration.challenge_size,
             audit=audit,
-            chain=chain,
+            chain=spec.chain,
         )
         _seed_user_lists(installation, company, calibration)
         installation.start(until=horizon)
@@ -621,23 +665,23 @@ def run_simulation(
 
     generator = TraceGenerator(
         world, simulator, installations, streams,
-        batch_delivery=batch_delivery, shard=shard_ctx,
+        batch_delivery=spec.batch_delivery, shard=shard_ctx,
     )
     generator.start(scale.n_days)
-    for attack in scenarios:
+    for attack in attacks:
         attack.install(
             world, simulator, installations, streams,
             shard=shard_ctx, behavior=behavior,
         )
 
     crash_plan = None
-    if crash_settings is not None and crash_settings.enabled:
-        crash_plan = CrashPlan(crash_settings, seed=seed, horizon=horizon)
+    if crashes is not None and crashes.enabled:
+        crash_plan = CrashPlan(crashes, seed=spec.seed, horizon=horizon)
         crash_plan.arm(simulator, installations, store)
 
     state = RunState(
         scale=scale,
-        seed=seed,
+        seed=spec.seed,
         audit=audit,
         horizon=horizon,
         simulator=simulator,
@@ -649,15 +693,15 @@ def run_simulation(
         behavior=behavior,
         fault_plan=fault_plan,
         crash_plan=crash_plan,
-        scenario=scenario_spec,
+        scenario=spec.scenario,
     )
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
+    if spec.checkpoint_every is not None:
+        if spec.checkpoint_dir is None:
             raise ValueError(
                 "checkpoint_every requires checkpoint_dir (where to put "
                 "the snapshots)"
             )
-        Checkpointer(state, checkpoint_dir, checkpoint_every).arm()
+        Checkpointer(state, spec.checkpoint_dir, spec.checkpoint_every).arm()
     return _finish_run(state, started)
 
 
@@ -747,9 +791,7 @@ def _finish_run(
         memory_stats=MemoryStats.collect(state.store),
         events_processed=simulator.events_processed,
         shard_stats=shard_stats,
-        # getattr: snapshots written before the field existed restore
-        # without it.
-        scenario=getattr(state, "scenario", None),
+        scenario=state.scenario,
     )
 
 

@@ -35,29 +35,28 @@ import heapq
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import LogStore, MergedTable, TABLES
 from repro.core.config import CompanyConfig
 from repro.core.ledger import LedgerError
 from repro.core.recovery import CheckpointError, CheckpointStats, latest_checkpoint
+from repro.experiments.parallel import _pool_context
 from repro.experiments.runner import (
     CrashStats,
     FaultStats,
     LedgerStats,
     MemoryStats,
+    RunSpec,
     ShardRunInfo,
     SimulationResult,
     SubstrateCacheStats,
     run_simulation,
 )
 from repro.net.exchange import reconcile
-from repro.net.faults import FaultSettings
-from repro.net.crashes import CrashSettings
-from repro.workload.calibration import Calibration
-from repro.workload.scale import ScaleConfig
+from repro.scenarios import resolve_scenario
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,13 @@ class ShardOutcome:
     seed: int
 
 
-def _run_shard(index: int, n_shards: int, kwargs: dict) -> ShardOutcome:
+def _run_shard(index: int, n_shards: int, spec: RunSpec) -> ShardOutcome:
     """Worker entry point: one shard's full simulation, summarised.
     Module-level so the process pool can pickle it."""
     started = time.perf_counter()
-    result = run_simulation(shard_of=(index, n_shards), **kwargs)
+    # Through this module's ``run_simulation`` so a profiler that wraps
+    # it (perfbench's shard hook) sees every worker.
+    result = run_simulation(**vars(spec), shard_of=(index, n_shards))
     wall = time.perf_counter() - started
     result.store.drop_indices()
     world = result.world
@@ -344,111 +345,65 @@ def _sum_memory(outcomes: list) -> MemoryStats:
 # -- the driver -------------------------------------------------------------
 
 
-def _pool_context():
-    from repro.experiments.parallel import _pool_context as ctx
+def _shard_spec(spec: RunSpec, index: int) -> RunSpec:
+    """Shard *index*'s input: the run's spec with every directory moved
+    into a ``shard-<index>`` subdirectory, resuming from the newest
+    snapshot in its own one."""
 
-    return ctx()
+    def under(root: Optional[str]) -> Optional[str]:
+        return None if root is None else os.path.join(root, f"shard-{index}")
+
+    resume_from = None
+    if spec.resume_from is not None:
+        resume_from = latest_checkpoint(under(spec.resume_from))
+        if resume_from is None:
+            raise CheckpointError(
+                f"no shard-{index} snapshot under {spec.resume_from}; a "
+                "sharded resume needs every shard's subdirectory"
+            )
+    return replace(
+        spec,
+        checkpoint_dir=under(spec.checkpoint_dir),
+        spill_dir=under(spec.spill_dir),
+        resume_from=resume_from,
+    )
 
 
-def _resolved_scenario(scenario):
-    """The merged result carries the resolved spec, like a plain run's."""
-    if scenario is None:
-        return None
-    from repro.scenarios import resolve_scenario
+def run_sharded_simulation(spec: RunSpec) -> SimulationResult:
+    """One deployment simulated across ``spec.shards`` workers, merged back.
 
-    return resolve_scenario(scenario)
-
-
-def run_sharded_simulation(
-    preset: Union[str, ScaleConfig] = "tiny",
-    seed: int = 7,
-    calibration: Optional[Calibration] = None,
-    filters_template=None,
-    scenarios: Sequence = (),
-    config_overrides: Optional[dict] = None,
-    faults: Union[str, FaultSettings, None] = None,
-    audit: bool = False,
-    crashes: Union[str, CrashSettings, None] = None,
-    checkpoint_every: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    batch_delivery: bool = True,
-    shards: int = 2,
-    jobs: Optional[int] = None,
-    spill_dir: Optional[str] = None,
-    spill_chunk_rows: Optional[int] = None,
-    scenario=None,
-    chain=None,
-) -> SimulationResult:
-    """One deployment simulated across *shards* workers, merged back.
-
-    *jobs* bounds concurrent worker processes (default one per shard);
-    ``jobs=1`` runs the shards sequentially in this process — same
+    ``spec.shard_jobs`` bounds concurrent worker processes (default one
+    per shard); ``1`` runs the shards sequentially in this process — same
     result, and the honest way to measure per-shard cost on a small box.
     Checkpoint and spill directories get per-shard ``shard-<k>``
-    subdirectories; *resume_from* takes the checkpoint *root* and each
+    subdirectories; ``resume_from`` takes the checkpoint *root* and each
     worker resumes from the newest snapshot in its own subdirectory.
 
-    Attack scenarios (*scenarios* instances and the declarative
-    *scenario* spec alike) ship to every worker: each replica replays
+    The scenario's attacks ship to every worker: each replica replays
     the identical attack planning draws — the replicated-trace invariant
     — while only the victim company's owner shard materialises and
     delivers the forged mail, so the merged store still matches
     ``shards=1`` byte-for-byte.
     """
-    if shards < 1:
+    shards = spec.shards
+    if shards is None or shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     started = time.perf_counter()
-    jobs = jobs or shards
-
-    per_shard_kwargs = []
-    for index in range(shards):
-        kwargs: dict = dict(
-            preset=preset,
-            seed=seed,
-            calibration=calibration,
-            filters_template=filters_template,
-            config_overrides=config_overrides,
-            faults=faults,
-            audit=audit,
-            crashes=crashes,
-            checkpoint_every=checkpoint_every,
-            batch_delivery=batch_delivery,
-            scenarios=tuple(scenarios),
-            scenario=scenario,
-            chain=chain,
-        )
-        if checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = os.path.join(
-                checkpoint_dir, f"shard-{index}"
-            )
-        if spill_dir is not None:
-            kwargs["spill_dir"] = os.path.join(spill_dir, f"shard-{index}")
-            kwargs["spill_chunk_rows"] = spill_chunk_rows
-        if resume_from is not None:
-            snapshot = latest_checkpoint(
-                os.path.join(resume_from, f"shard-{index}")
-            )
-            if snapshot is None:
-                raise CheckpointError(
-                    f"no shard-{index} snapshot under {resume_from}; a "
-                    "sharded resume needs every shard's subdirectory"
-                )
-            kwargs["resume_from"] = snapshot
-        per_shard_kwargs.append(kwargs)
+    jobs = spec.shard_jobs or shards
+    per_shard = [_shard_spec(spec, index) for index in range(shards)]
 
     if jobs == 1 or shards == 1:
         outcomes = [
-            _run_shard(index, shards, kwargs)
-            for index, kwargs in enumerate(per_shard_kwargs)
+            _run_shard(index, shards, shard_spec)
+            for index, shard_spec in enumerate(per_shard)
         ]
     else:
         with ProcessPoolExecutor(
             max_workers=min(jobs, shards), mp_context=_pool_context()
         ) as pool:
             futures = [
-                pool.submit(_run_shard, index, shards, kwargs)
-                for index, kwargs in enumerate(per_shard_kwargs)
+                pool.submit(_run_shard, index, shards, shard_spec)
+                for index, shard_spec in enumerate(per_shard)
             ]
             outcomes = [future.result() for future in futures]
 
@@ -463,7 +418,7 @@ def run_sharded_simulation(
             + "\n  ".join(ledger_stats.violations)
         )
 
-    merged = _merge_stores(outcomes, spilled=spill_dir is not None)
+    merged = _merge_stores(outcomes, spilled=spec.spill_dir is not None)
     # Ownership straight from the workers: local companies are the ones
     # whose installations produced ledger snapshots.
     owners: dict = {}
@@ -501,7 +456,7 @@ def run_sharded_simulation(
         },
         monitor=None,
         info=outcomes[0].info,
-        seed=seed,
+        seed=spec.seed,
         wall_seconds=time.perf_counter() - started,
         cache_stats=_sum_caches(outcomes),
         fault_stats=_sum_faults(outcomes),
@@ -511,5 +466,5 @@ def run_sharded_simulation(
         memory_stats=_sum_memory(outcomes),
         events_processed=sum(o.events_processed for o in outcomes),
         shard_stats=shard_stats,
-        scenario=_resolved_scenario(scenario),
+        scenario=resolve_scenario(spec.scenario),
     )

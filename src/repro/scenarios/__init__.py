@@ -1,7 +1,7 @@
 """Declarative attack-scenario packs (DESIGN.md §13).
 
 Scenarios are named YAML files under ``<repo>/scenarios/`` that compose
-workload attacks, fault/crash weather, filter-config overrides, and
+workload attacks, fault/crash weather, a filter-chain composition, and
 machine-checked pass/fail verdicts into one hashable
 :class:`~repro.scenarios.spec.ScenarioSpec` the runner, the sweep cache,
 and the sharded data plane all consume.

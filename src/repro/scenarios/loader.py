@@ -16,8 +16,6 @@ A scenario file is a YAML mapping::
         solve_prob: 0.65       # any extra key -> the attack's constructor
     faults: stormy             # optional fault preset
     crashes: flaky             # optional crash preset
-    filters:                   # optional fleet-wide FilterSettings fields
-      dnsbl_enabled: false
     chain: hybrid              # optional FilterChainSpec: preset name,
                                # comma list, or mapping of spec fields
     verdicts:                  # machine-checked pass/fail assertions
@@ -59,8 +57,8 @@ _CORE_ATTACK_FIELDS = (
     "kind", "company_id", "start_day", "duration_days", "messages_per_day",
 )
 _SCENARIO_KEYS = (
-    "_base", "description", "attacks", "faults", "crashes", "filters",
-    "chain", "verdicts",
+    "_base", "description", "attacks", "faults", "crashes", "chain",
+    "verdicts",
 )
 _VERDICT_KEYS = ("name", "metric", "op", "value", "campaign", "company_id")
 
@@ -164,6 +162,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _spec_from_dict(name: str, data: dict, path: str) -> ScenarioSpec:
+    if "filters" in data:
+        raise ScenarioError(
+            f"the filters: key ({data['filters']!r}) is no longer "
+            f"supported; compose the filter chain with chain: instead",
+            path,
+        )
     unknown = sorted(set(data) - set(_SCENARIO_KEYS))
     if unknown:
         raise ScenarioError(
@@ -229,20 +233,12 @@ def _spec_from_dict(name: str, data: dict, path: str) -> ScenarioSpec:
                 company_id=entry.get("company_id"),
             )
         )
-    filters = data.get("filters") or {}
-    if not isinstance(filters, dict):
-        raise ScenarioError(
-            f"filters must be a mapping of FilterSettings fields; "
-            f"got {filters!r}",
-            path,
-        )
     spec = ScenarioSpec(
         name=name,
         description=str(data.get("description", "")).strip(),
         attacks=tuple(attacks),
         faults=data.get("faults"),
         crashes=data.get("crashes"),
-        filters=tuple(sorted(filters.items())),
         chain=_chain_pairs(data.get("chain"), path),
         verdicts=tuple(verdicts),
     )
@@ -288,7 +284,6 @@ def _chain_pairs(chain, path: str) -> tuple:
 def _validate(spec: ScenarioSpec, path: str) -> None:
     """Fail at load time, not install time, for referential mistakes."""
     from repro.analysis.verdicts import METRICS
-    from repro.core.config import FilterSettings
     from repro.workload.attacks import ATTACK_KINDS
 
     for attack in spec.attacks:
@@ -296,14 +291,6 @@ def _validate(spec: ScenarioSpec, path: str) -> None:
             raise ScenarioError(
                 f"unknown attack kind {attack.kind!r}; "
                 f"known: {', '.join(sorted(ATTACK_KINDS))}",
-                path,
-            )
-    settings_fields = FilterSettings.__dataclass_fields__
-    for field_name, _value in spec.filters:
-        if field_name not in settings_fields:
-            raise ScenarioError(
-                f"unknown FilterSettings field {field_name!r}; "
-                f"known: {', '.join(sorted(settings_fields))}",
                 path,
             )
     # Build the chain spec once here so unknown fields/members fail at

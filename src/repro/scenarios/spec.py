@@ -4,8 +4,8 @@ A scenario is *data*: frozen dataclasses of scalars and tuples, so one
 spec is hashable (it folds into the sweep cache key), picklable (it
 ships to shard workers), and has a deterministic ``repr`` (two loads of
 the same YAML produce identical cache keys). Anything live — attack
-objects, filter settings — is built from the spec at install time via
-:meth:`ScenarioSpec.build_attacks` / :meth:`ScenarioSpec.filters_template`.
+objects, the filter chain — is built from the spec at install time via
+:meth:`ScenarioSpec.build_attacks` / :meth:`ScenarioSpec.chain_spec`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class VerdictCheck:
 class ScenarioSpec:
     """One named, declarative attack scenario.
 
-    Composes attacks + fault/crash weather + fleet-wide filter overrides
+    Composes attacks + fault/crash weather + a filter-chain composition
     + pass/fail verdict checks. Fully hashable: every field is a scalar
     or a tuple of frozen dataclasses / pairs.
     """
@@ -70,14 +70,11 @@ class ScenarioSpec:
     faults: Optional[str] = None
     #: Crash-injection preset name, same override rule.
     crashes: Optional[str] = None
-    #: Fleet-wide :class:`~repro.core.config.FilterSettings` field
-    #: overrides, as sorted ``(field, value)`` pairs.
-    filters: tuple = ()
     #: Filter-chain composition as sorted
     #: :class:`~repro.core.config.FilterChainSpec` ``(field, value)``
-    #: pairs (``members`` value itself a tuple); empty = the scenario
-    #: leaves the chain alone. Same override rule as ``filters``: an
-    #: explicit ``run_simulation(chain=...)`` argument wins.
+    #: pairs (``members`` value itself a tuple); empty = the run's
+    #: ``default`` chain. Same override rule: an explicit
+    #: ``RunSpec.chain`` wins.
     chain: tuple = ()
     verdicts: tuple = ()
 
@@ -86,15 +83,6 @@ class ScenarioSpec:
         state that :meth:`~repro.workload.attacks.AttackScenario.install`
         allocates)."""
         return [attack.build() for attack in self.attacks]
-
-    def filters_template(self):
-        """The composed ``FilterSettings``, or ``None`` when the scenario
-        leaves the fleet's filter configuration alone."""
-        if not self.filters:
-            return None
-        from repro.core.config import FilterSettings
-
-        return FilterSettings(**dict(self.filters))
 
     def chain_spec(self):
         """The composed ``FilterChainSpec``, or ``None`` when the scenario

@@ -127,7 +127,7 @@ class LiveCrService:
         calibration = DEFAULT_CALIBRATION
         reset_msg_ids()
         streams = RngStreams(seed)
-        self.world = build_world(self.scale, calibration, streams, None, None)
+        self.world = build_world(self.scale, calibration, streams)
         self.simulator = Simulator()
         self.store = LogStore()
         self.horizon = self.scale.n_days * DAY

@@ -295,14 +295,12 @@ def build_world(
     scale: ScaleConfig,
     calibration: Calibration,
     streams: RngStreams,
-    filters_template: "FilterSettings" = None,
     config_overrides: Optional[dict] = None,
 ) -> World:
     """Construct the full static world for one simulation run.
 
-    *filters_template*, when given, overrides every company's auxiliary
-    filter configuration — the hook used by ablation studies (e.g. running
-    the deployment without the RBL filter, or with SPF enforced inline).
+    *config_overrides* replaces :class:`CompanyConfig` fields on every
+    company (the dedup ablation turns ``challenge_dedup`` off this way).
     """
     rng = streams.stream("world")
     registry = DnsRegistry()
@@ -339,7 +337,6 @@ def build_world(
         contact_pool,
         nuisance_pool,
         external_domains,
-        filters_template,
         config_overrides,
     )
     newsletter_sources = _build_newsletters(
@@ -643,7 +640,6 @@ def _build_companies(
     contact_pool: list[str],
     nuisance_pool: list[str],
     external_domains: list[ExternalDomain],
-    filters_template: "FilterSettings" = None,
     config_overrides: Optional[dict] = None,
 ) -> list[Company]:
     sizes = _company_sizes(scale, rng)
@@ -766,13 +762,9 @@ def _build_companies(
             challenge_ip=challenge_ip,
             relay_domains=relay_domains,
             rejected_senders=rejected,
-            filters=(
-                filters_template
-                if filters_template is not None
-                else FilterSettings(
-                    antivirus_detection_rate=calibration.antivirus_detection_rate,
-                    rbl_provider=_pick_rbl_provider(calibration, index),
-                )
+            filters=FilterSettings(
+                antivirus_detection_rate=calibration.antivirus_detection_rate,
+                rbl_provider=_pick_rbl_provider(calibration, index),
             ),
         )
         if config_overrides:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.analysis.store import LogStore
 from repro.blacklistd.service import DnsblService, ListingPolicy
-from repro.core.config import CompanyConfig, FilterSettings
+from repro.core.config import CompanyConfig
 from repro.core.engine import BehaviorHooks, CompanyInstallation
 from repro.core.message import (
     EmailMessage,
@@ -93,7 +93,6 @@ def make_micro_env(
     *,
     open_relay: bool = False,
     dual_outbound: bool = True,
-    filters: Optional[FilterSettings] = None,
     hooks: Optional[BehaviorHooks] = None,
     horizon_days: int = 60,
     audit: bool = False,
@@ -129,7 +128,6 @@ def make_micro_env(
         challenge_ip=CHALLENGE_IP if dual_outbound else MTA_OUT_IP,
         relay_domains=("relayed.example",) if open_relay else (),
         rejected_senders=frozenset({f"blocked@{CONTACT_DOMAIN}"}),
-        filters=filters or FilterSettings(),
     )
     installation = CompanyInstallation(
         config=config,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CompanyConfig, FilterSettings
+from repro.core.config import CompanyConfig, FilterChainSpec, FilterSettings
 from repro.core.message import (
     MessageKind,
     SenderClass,
@@ -59,9 +59,10 @@ class TestCompanyConfig:
         assert replaced.is_protected_recipient("alice", "corp.example")
 
     def test_filter_settings_defaults_match_paper(self):
-        settings = FilterSettings()
-        assert settings.antivirus and settings.reverse_dns and settings.rbl
-        assert not settings.spf  # SPF was only evaluated offline (Fig. 12)
+        # The product ran antivirus, reverse DNS and a SpamHaus blacklist;
+        # SPF was only evaluated offline (Fig. 12).
+        assert FilterChainSpec().members == ("antivirus", "reverse_dns", "rbl")
+        assert FilterSettings().rbl_provider == "spamhaus-zen"
 
 
 class TestMessageModel:

@@ -1,15 +1,18 @@
 """The pluggable filter chain: spec, baselines-in-chain, determinism.
 
-Covers the PR 9 tentpole end to end: `FilterChainSpec` parsing and
-validation, the online naive-Bayes and sender-reputation chain members,
-order-dependent chain counters, cache-key default folding, and the
-digest invariants (spec default ≡ legacy build, shards=4 ≡ shards=1 on
-a non-default chain, same-seed reruns identical).
+Covers the chain end to end: `FilterChainSpec` parsing and validation,
+the naive-Bayes classifier and the online naive-Bayes and
+sender-reputation chain members, order-dependent chain counters, chain
+resolution in the run's cache key, chain-only ablations leaving the
+per-company filter tuning alone, and the digest invariants
+(``chain=None`` ≡ the ``default`` spec, shards=4 ≡ shards=1 on a
+non-default chain, same-seed reruns identical).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.config import (
     CHAIN_PRESETS,
@@ -17,12 +20,15 @@ from repro.core.config import (
     FilterChainSpec,
 )
 from repro.core.filters import FilterChain, SpamFilter
+from repro.analysis.store import LogStore
 from repro.core.filters.content import NaiveBayesFilter, OnlineNaiveBayesFilter
 from repro.core.filters.reputation import SenderReputationFilter
 from repro.core.message import MessageKind, make_message
 from repro.experiments.parallel import RunSpec, store_digest
 from repro.experiments.runner import run_simulation
 from repro.util.simtime import DAY
+
+from tests import recordfactory as rf
 
 
 # -- FilterChainSpec ---------------------------------------------------------
@@ -104,7 +110,106 @@ def test_chain_passes_count_only_full_passes():
     assert chain.passed == 1
 
 
-# -- online naive Bayes ------------------------------------------------------
+# -- naive Bayes -------------------------------------------------------------
+
+
+class TestNaiveBayes:
+    def _trained(self):
+        nb = NaiveBayesFilter()
+        nb.train(
+            [
+                ("cheap meds online pharmacy", True),
+                ("exclusive offer limited time", True),
+                ("replica watches discount", True),
+                ("meeting notes tomorrow agenda", False),
+                ("project status report attached", False),
+                ("lunch plans this weekend", False),
+            ]
+        )
+        return nb
+
+    def test_classifies_obvious_spam(self):
+        assert self._trained().classify("cheap pharmacy meds")
+
+    def test_classifies_obvious_ham(self):
+        assert not self._trained().classify("meeting agenda attached")
+
+    def test_log_odds_sign_matches_classification(self):
+        nb = self._trained()
+        for subject in ("cheap meds", "status report"):
+            assert nb.classify(subject) == (nb.spam_log_odds(subject) > 0)
+
+    def test_unknown_tokens_fall_back_to_prior(self):
+        nb = NaiveBayesFilter()
+        # Balanced token totals so unknown tokens are class-neutral and
+        # the document prior (2 ham docs vs 1 spam doc) decides.
+        nb.train(
+            [
+                ("spam spam spam spam", True),
+                ("ham ham", False),
+                ("ham two", False),
+            ]
+        )
+        assert not nb.classify("completely novel words")
+
+    def test_untrained_raises(self):
+        nb = NaiveBayesFilter()
+        with pytest.raises(RuntimeError):
+            nb.classify("anything")
+        nb.train([("only spam", True)])
+        with pytest.raises(RuntimeError):
+            nb.classify("still missing ham examples")
+
+    def test_incremental_training(self):
+        nb = NaiveBayesFilter()
+        first = nb.train([("cheap meds", True)])
+        second = nb.train([("meeting notes", False)])
+        assert first.spam_messages == 1
+        assert second.ham_messages == 1
+        assert nb.trained
+
+    def test_invalid_smoothing(self):
+        with pytest.raises(ValueError):
+            NaiveBayesFilter(smoothing=0.0)
+
+    def test_threshold_shifts_decisions(self):
+        strict = self._trained()
+        lenient = self._trained()
+        lenient.threshold = 50.0
+        assert strict.classify("cheap meds")
+        assert not lenient.classify("cheap meds")
+
+    def test_train_from_records(self):
+        store = LogStore()
+        rf.dispatch(store, subject="cheap meds pharmacy", kind=MessageKind.SPAM)
+        rf.dispatch(store, subject="meeting notes agenda", kind=MessageKind.LEGIT)
+        nb = NaiveBayesFilter()
+        summary = nb.train_from_records(store.dispatch)
+        assert summary.spam_messages == 1
+        assert summary.ham_messages == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(
+                    alphabet="abcdefg ", min_size=1, max_size=30
+                ).filter(str.strip),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=40,
+        ).filter(
+            lambda pairs: any(s for _, s in pairs)
+            and any(not s for _, s in pairs)
+        )
+    )
+    def test_never_crashes_and_returns_bool(self, pairs):
+        nb = NaiveBayesFilter()
+        nb.train(pairs)
+        for subject, _ in pairs:
+            assert isinstance(nb.classify(subject), bool)
+
+
 
 
 SPAMMY = "cheap meds online pharmacy discount"
@@ -268,8 +373,8 @@ class TestSenderReputation:
 
 
 def test_default_spec_build_matches_legacy_build():
-    """chain=FilterChainSpec() (the declarative product chain) is
-    byte-identical to chain=None (the legacy FilterSettings build)."""
+    """chain=None resolves to the ``default`` spec: byte-identical
+    stores (the goldens pin what that chain produces)."""
     legacy = run_simulation("tiny", seed=7)
     declarative = run_simulation("tiny", seed=7, chain=FilterChainSpec())
     assert store_digest(declarative.store) == store_digest(legacy.store)
@@ -308,24 +413,49 @@ def test_sharded_hybrid_chain_digest_matches_unsharded():
     assert store_digest(sharded.store) == store_digest(plain.store)
 
 
-def test_chain_cache_key_default_folding():
-    """chain=None hashes exactly as before the field existed; asking for
-    a real chain changes the key, and different chains differ."""
-    legacy = RunSpec(preset="tiny", seed=3)
-    assert legacy.cache_key() == RunSpec(preset="tiny", seed=3, chain=None).cache_key()
+def test_chain_notations_share_one_cache_key():
+    """None, the preset name and the resolved spec are one run, so one
+    cache entry; a different chain is a different key."""
+    keys = {
+        RunSpec(preset="tiny", seed=3, chain=chain).cache_key()
+        for chain in (None, "default", FilterChainSpec())
+    }
+    assert len(keys) == 1
     hybrid = RunSpec(preset="tiny", seed=3, chain="hybrid")
-    assert hybrid.cache_key() != legacy.cache_key()
+    assert hybrid.cache_key() not in keys
     assert (
         hybrid.cache_key()
         != RunSpec(preset="tiny", seed=3, chain="naive-bayes").cache_key()
     )
-    # String and resolved-spec notations agree on the key.
     assert (
         hybrid.cache_key()
         == RunSpec(
             preset="tiny", seed=3, chain=FilterChainSpec.parse("hybrid")
         ).cache_key()
     )
+
+
+def test_chain_only_ablation_keeps_per_company_filter_tuning(small_result):
+    """An ablation that changes only the chain changes only the chain:
+    every company keeps its antivirus rate and its weighted RBL
+    provider, so the provider mix does not collapse onto one list."""
+    default = small_result
+    ablated = run_simulation(
+        "small", seed=11, chain="antivirus,reverse_dns,rbl,spf"
+    )
+
+    def tuning(result):
+        return {
+            company_id: installation.config.filters
+            for company_id, installation in result.installations.items()
+        }
+
+    assert tuning(ablated) == tuning(default)
+    assert len({f.rbl_provider for f in tuning(default).values()}) > 1
+    chain = next(iter(ablated.installations.values())).filter_chain
+    assert [f.name for f in chain.filters] == [
+        "antivirus", "reverse_dns", "rbl", "spf",
+    ]
 
 
 def test_scenario_chain_key_and_explicit_override(tmp_path):

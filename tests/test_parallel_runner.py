@@ -5,6 +5,7 @@ process pool changes *nothing* about the results — same content digests,
 same spec order — so `jobs=N` is always a pure wall-time optimisation.
 """
 
+import dataclasses
 import pickle
 import warnings
 
@@ -18,7 +19,9 @@ from repro.experiments.parallel import (
     RunSummary,
     run_specs,
 )
-from repro.core.config import FilterSettings
+from repro.experiments.runner import NON_KEY_FIELDS
+from repro.util.simtime import DAY
+from repro.workload.calibration import DEFAULT_CALIBRATION
 
 #: The sweep both execution modes must agree on.
 SPECS = [RunSpec("tiny", seed=3), RunSpec("tiny", seed=5)]
@@ -196,7 +199,48 @@ class TestFailureCapture:
         assert not cache.path_for(BAD_SPEC.cache_key()).exists()
 
 
+#: One non-default value per RunSpec field. A field added without an
+#: entry here fails the key test below, so every new input gets a
+#: decision: part of the cache key, or declared in NON_KEY_FIELDS.
+ALTERNATE_VALUES = {
+    "preset": "small",
+    "seed": 4,
+    "calibration": dataclasses.replace(
+        DEFAULT_CALIBRATION,
+        challenge_size=DEFAULT_CALIBRATION.challenge_size + 1,
+    ),
+    "config_overrides": {"challenge_dedup": False},
+    "faults": "stormy",
+    "audit": True,
+    "crashes": "rare",
+    "scenario": "captcha-farm",
+    "chain": "hybrid",
+    "checkpoint_every": DAY,
+    "batch_delivery": False,
+    "shards": 2,
+    "shard_jobs": 1,
+    "checkpoint_dir": "ckpt",
+    "resume_from": "ckpt/snapshot.pkl",
+    "spill_dir": "spill",
+    "spill_chunk_rows": 64,
+    "label": "x",
+}
+
+
 class TestSpecKeys:
+    def test_every_key_field_changes_the_key(self):
+        """Changing any key field changes the key; changing a declared
+        non-key field does not."""
+        assert set(ALTERNATE_VALUES) == {
+            f.name for f in dataclasses.fields(RunSpec)
+        }
+        assert NON_KEY_FIELDS < set(ALTERNATE_VALUES)
+        base = RunSpec("tiny", seed=3)
+        for name, value in ALTERNATE_VALUES.items():
+            variant = dataclasses.replace(base, **{name: value})
+            changed = variant.cache_key() != base.cache_key()
+            assert changed == (name not in NON_KEY_FIELDS), name
+
     def test_key_stable_and_order_insensitive(self):
         spec_a = RunSpec("tiny", seed=3, config_overrides={"a": 1, "b": 2})
         spec_b = RunSpec("tiny", seed=3, config_overrides={"b": 2, "a": 1})
@@ -207,7 +251,7 @@ class TestSpecKeys:
         variants = [
             RunSpec("small", seed=3),
             RunSpec("tiny", seed=4),
-            RunSpec("tiny", seed=3, filters_template=FilterSettings(spf=True)),
+            RunSpec("tiny", seed=3, chain="antivirus,reverse_dns,rbl,spf"),
             RunSpec(
                 "tiny", seed=3, config_overrides={"challenge_dedup": False}
             ),
@@ -251,14 +295,17 @@ class TestSweepConsumers:
     def test_variability_and_defence_sweeps_share_one_fanout(
         self, serial_summaries
     ):
-        from repro.analysis import variability
-        from repro.baselines import comparison
+        from repro.analysis import frontier, variability
 
         sweep = variability.sweep_from_summaries(serial_summaries)
         assert [seed for seed, _stats in sweep.per_seed] == [3, 5]
         rendered = variability.render_sweep(sweep)
         assert "correlation stability across 2 seeds" in rendered
 
-        results = comparison.defences_from_summaries(serial_summaries)
-        assert [seed for seed, _cmp in results] == [3, 5]
-        assert "2 independent deployments" in comparison.render_sweep(results)
+        rendered = frontier.render_sweep(serial_summaries)
+        assert "2 independent deployments" in rendered
+        seed_rows = [
+            line.split()[0] for line in rendered.splitlines()
+            if line.split() and line.split()[0] in ("3", "5")
+        ]
+        assert seed_rows == ["3", "5"]

@@ -136,9 +136,11 @@ class TestLayering:
             load_scenario("bad")
 
     def test_unknown_filter_field_rejected(self, pack_dir):
+        # The filters: key is gone entirely; the error points at chain:.
         _write(pack_dir, "bad.yaml", "filters:\n  not_a_field: true\n")
-        with pytest.raises(ScenarioError, match="not_a_field"):
+        with pytest.raises(ScenarioError, match="not_a_field") as excinfo:
             load_scenario("bad")
+        assert "chain:" in str(excinfo.value)
 
     def test_missing_scenario_names_known_ones(self, pack_dir):
         _write(pack_dir, "only.yaml", "description: x\n")

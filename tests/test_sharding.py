@@ -9,11 +9,8 @@ test here pins some face of that equivalence.
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
-from repro._version import __version__
 from repro.experiments.parallel import RunSpec, store_digest
 from repro.experiments.registry import run_all
 from repro.experiments.runner import run_simulation
@@ -24,7 +21,6 @@ from repro.net.exchange import (
     reconcile,
 )
 from repro.util.simtime import DAY
-from repro.workload.calibration import DEFAULT_CALIBRATION
 
 
 def _digest(**kwargs) -> str:
@@ -176,38 +172,6 @@ def test_sharded_checkpoint_restore_roundtrip(tmp_path):
 # -- parallel-runner integration --------------------------------------------
 
 
-def test_cache_key_default_folding():
-    """Specs that leave the new sharding fields at their defaults hash
-    exactly as they did before the fields existed — pre-existing cache
-    entries stay valid."""
-    spec = RunSpec(preset="tiny", seed=3)
-    legacy_canonical = repr(
-        (
-            __version__,
-            spec.resolved_scale(),
-            spec.seed,
-            DEFAULT_CALIBRATION,
-            None,
-            [],
-            None,
-            False,
-            None,
-            None,
-        )
-    )
-    legacy_key = hashlib.sha256(
-        legacy_canonical.encode("utf-8")
-    ).hexdigest()
-    assert spec.cache_key() == legacy_key
-    # ...while actually requesting the new machinery changes the key.
-    assert RunSpec(preset="tiny", seed=3, shards=2).cache_key() != legacy_key
-    assert RunSpec(preset="tiny", seed=3, spill=True).cache_key() != legacy_key
-    assert (
-        RunSpec(preset="tiny", seed=3, shards=2).cache_key()
-        != RunSpec(preset="tiny", seed=3, shards=4).cache_key()
-    )
-
-
 def test_sharded_spec_summary_matches_plain(tmp_path):
     """A sharded, spilled RunSpec yields a summary digest-identical to
     the plain spec's (and is cacheable: the store is fully in memory by
@@ -215,21 +179,24 @@ def test_sharded_spec_summary_matches_plain(tmp_path):
     from repro.experiments.parallel import ParallelRunner, RunCache
 
     runner = ParallelRunner(jobs=1, cache=RunCache(tmp_path / "cache"))
+    spill_dir = str(tmp_path / "spill")
     plain, sharded = runner.run(
         [
             RunSpec(preset="tiny", seed=5),
-            RunSpec(preset="tiny", seed=5, shards=2, spill=True),
+            RunSpec(preset="tiny", seed=5, shards=2, spill_dir=spill_dir),
         ]
     )
     assert not plain.failed and not sharded.failed
     assert sharded.digest == plain.digest
     assert sharded.company_configs == plain.company_configs
+    # The run spilled into a private directory that is gone again.
+    assert not any((tmp_path / "spill").iterdir())
     # Second pass: both answered from cache.
     hits_before = runner.cache_hits
     runner.run(
         [
             RunSpec(preset="tiny", seed=5),
-            RunSpec(preset="tiny", seed=5, shards=2, spill=True),
+            RunSpec(preset="tiny", seed=5, shards=2, spill_dir=spill_dir),
         ]
     )
     assert runner.cache_hits == hits_before + 2

@@ -6,10 +6,16 @@ from repro.core.message import MessageKind
 from repro.core.spools import Category
 from repro.experiments import run_simulation
 from repro.net.smtp import BounceReason
+from repro.scenarios import AttackSpec, ScenarioSpec
 from repro.util.simtime import DAY
-from repro.workload.attacks import TrapBombingAttack, WhitelistSpoofingAttack
 
 VICTIM = "c01"
+
+
+def _attack(kind, company_id=VICTIM, **fields):
+    """A one-attack scenario, the only way a run takes attacks."""
+    attack = AttackSpec(kind=kind, company_id=company_id, **fields)
+    return ScenarioSpec(name=kind, attacks=(attack,))
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +28,9 @@ def bombed():
     return run_simulation(
         "tiny",
         seed=17,
-        scenarios=[
-            TrapBombingAttack(
-                company_id=VICTIM,
-                messages_per_day=150,
-                start_day=1,
-                duration_days=5,
-            )
-        ],
+        scenario=_attack(
+            "trap-bombing", messages_per_day=150, start_day=1, duration_days=5
+        ),
     )
 
 
@@ -38,15 +39,13 @@ def spoofed():
     return run_simulation(
         "tiny",
         seed=17,
-        scenarios=[
-            WhitelistSpoofingAttack(
-                company_id=VICTIM,
-                messages_per_day=100,
-                start_day=1,
-                duration_days=5,
-                guess_prob=0.6,
-            )
-        ],
+        scenario=_attack(
+            "whitelist-spoofing",
+            messages_per_day=100,
+            start_day=1,
+            duration_days=5,
+            params=(("guess_prob", 0.6),),
+        ),
     )
 
 
@@ -136,51 +135,24 @@ class TestWhitelistSpoofing:
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    WhitelistSpoofingAttack(company_id="c99")
-                ],
+                scenario=_attack("whitelist-spoofing", company_id="c99"),
             )
 
 
 class TestInstallHardening:
-    def test_reused_attack_instance_is_deterministic(self):
-        """Regression: a TrapBombingAttack reused across runs must behave
-        as a fresh instance — per-run state (the forged sender IP pool)
-        is allocated in install(), not lazily on first forge."""
-        from repro.experiments.parallel import store_digest
-
-        reused = TrapBombingAttack(company_id=VICTIM, duration_days=3)
-        first = run_simulation("tiny", seed=17, scenarios=[reused])
-        second = run_simulation("tiny", seed=17, scenarios=[reused])
-        fresh = run_simulation(
-            "tiny",
-            seed=17,
-            scenarios=[TrapBombingAttack(company_id=VICTIM, duration_days=3)],
-        )
-        assert store_digest(second.store) == store_digest(first.store)
-        assert store_digest(second.store) == store_digest(fresh.store)
-
     def test_attack_window_past_horizon_raises(self):
         # Tiny horizon is 10 days; days 8..12 would silently never fire.
         with pytest.raises(ValueError, match="horizon"):
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    TrapBombingAttack(
-                        company_id=VICTIM, start_day=8, duration_days=5
-                    )
-                ],
+                scenario=_attack("trap-bombing", start_day=8, duration_days=5),
             )
 
     def test_negative_start_day_raises(self):
         with pytest.raises(ValueError):
             run_simulation(
-                "tiny",
-                seed=17,
-                scenarios=[
-                    TrapBombingAttack(company_id=VICTIM, start_day=-1)
-                ],
+                "tiny", seed=17, scenario=_attack("trap-bombing", start_day=-1)
             )
 
     def test_zero_duration_raises(self):
@@ -188,7 +160,5 @@ class TestInstallHardening:
             run_simulation(
                 "tiny",
                 seed=17,
-                scenarios=[
-                    TrapBombingAttack(company_id=VICTIM, duration_days=0)
-                ],
+                scenario=_attack("trap-bombing", duration_days=0),
             )
