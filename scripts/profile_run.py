@@ -5,7 +5,9 @@ Future perf PRs should start from this data instead of guessing: the
 harness runs ``run_simulation`` at a chosen preset, renders every report
 off the resulting store, and prints the top cumulative hotspots of each
 stage separately (the simulation and the analysis have very different
-profiles and optimising one tells you nothing about the other).
+profiles and optimising one tells you nothing about the other). Next to
+each stage's table it prints the stage's cyclic-collector seconds and
+its gen0/1/2 collection counts.
 
 Usage::
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pathlib
 import pstats
 import sys
@@ -34,7 +37,39 @@ from repro.experiments import simulate  # noqa: E402
 from repro.experiments.registry import run_all  # noqa: E402
 
 
-def _print_stats(profiler: cProfile.Profile, sort: str, top: int) -> None:
+class CollectorClock:
+    """Collector seconds and collections per generation, counted by a
+    ``gc.callbacks`` hook while the ``with`` block runs."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._began
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "CollectorClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self)
+
+    def __str__(self) -> str:
+        gen0, gen1, gen2 = self.collections
+        return (f"collector {self.seconds:.2f}s "
+                f"(gen0/1/2 collections: {gen0}/{gen1}/{gen2})")
+
+
+def _print_stats(
+    profiler: cProfile.Profile, collector: CollectorClock, sort: str, top: int
+) -> None:
+    print(collector)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
 
@@ -56,16 +91,18 @@ def main(argv=None) -> int:
     spec = spec_from_args(args)
 
     sim_profiler = cProfile.Profile()
-    sim_profiler.enable()
-    result = simulate(spec)
-    sim_profiler.disable()
+    with CollectorClock() as sim_collector:
+        sim_profiler.enable()
+        result = simulate(spec)
+        sim_profiler.disable()
 
     result.store.drop_indices()  # profile a cold analysis index
     report_profiler = cProfile.Profile()
     started = time.perf_counter()
-    report_profiler.enable()
-    report = run_all(result)
-    report_profiler.disable()
+    with CollectorClock() as report_collector:
+        report_profiler.enable()
+        report = run_all(result)
+        report_profiler.disable()
     report_seconds = time.perf_counter() - started
 
     counts = result.store.summary_counts()
@@ -136,11 +173,15 @@ def main(argv=None) -> int:
                 f"{time.perf_counter() - started_restore:.3f}s"
             )
     print(f"report generation: {report_seconds:.3f}s, {len(report)} chars")
+    print(
+        "note: cProfile charges each collector pause to whichever "
+        "allocating frame triggered it, spread over the tables below"
+    )
 
     print(f"\n--- simulation hotspots (top {args.top}, {args.sort}) ---")
-    _print_stats(sim_profiler, args.sort, args.top)
+    _print_stats(sim_profiler, sim_collector, args.sort, args.top)
     print(f"\n--- report-generation hotspots (top {args.top}, {args.sort}) ---")
-    _print_stats(report_profiler, args.sort, args.top)
+    _print_stats(report_profiler, report_collector, args.sort, args.top)
     return 0
 
 

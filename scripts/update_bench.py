@@ -291,14 +291,19 @@ def trajectory_gaps(prs: list) -> list:
 
 
 def describe_trajectory(entries: list) -> str:
-    """One log line stating the committed PRs and any numbering gaps."""
+    """One log line stating the committed PRs and any numbering gaps,
+    one bracketed run of gaps per pair of neighbouring entries."""
     prs = [pr for pr, _, _ in entries]
     line = f"trajectory: PRs {prs}"
-    gaps = trajectory_gaps(prs)
-    if gaps:
+    runs = [
+        trajectory_gaps([prev, cur]) for prev, cur in zip(prs, prs[1:])
+        if cur > prev + 1
+    ]
+    if runs:
         line += (
-            f"; no bench entry for PR(s) {gaps} — tolerated, the "
-            f"baseline is the latest committed entry, not PR-minus-1"
+            f"; no bench entry for PR(s) {', '.join(map(str, runs))} — "
+            f"tolerated, the baseline is the latest committed entry, not "
+            f"PR-minus-1"
         )
     return line
 

@@ -39,6 +39,7 @@ from repro.net.crashes import CrashPlan, CrashSettings, get_crash_preset
 from repro.net.exchange import ShardContext, ShardExchange, ShardMap
 from repro.net.faults import FaultPlan, FaultSettings, get_fault_preset
 from repro.sim.engine import Simulator
+from repro.util.gcpause import CollectorPause
 from repro.util.rng import RngStreams
 from repro.util.simtime import DAY
 from repro.workload.behavior import BehaviorModel
@@ -567,8 +568,12 @@ def simulate(
         return run_sharded_simulation(spec)
 
     started = time.perf_counter()
-    resume_from = spec.resume_from
-    if resume_from is not None:
+    # Entered before the world build so fresh, resumed and shard-worker
+    # runs all build, run and tear down with the collector paused.
+    with CollectorPause() as collector:
+        resume_from = spec.resume_from
+        if resume_from is None:
+            return _finish_run(_build_run(spec, shard_of), started, collector)
         restore_started = time.perf_counter()
         state = load_checkpoint(resume_from)
         restore_seconds = time.perf_counter() - restore_started
@@ -577,10 +582,14 @@ def simulate(
             checkpointer = Checkpointer(state, directory, spec.checkpoint_every)
             checkpointer.arm()
         return _finish_run(
-            state, started,
+            state, started, collector,
             restored_from=resume_from, restore_seconds=restore_seconds,
         )
 
+
+def _build_run(spec: RunSpec, shard_of: Optional[tuple]) -> RunState:
+    """A fresh run's world, installations, monitor, generator, attacks
+    and fault/crash plans, with the clock not yet started."""
     spec = spec.resolved()
     faults, crashes = spec.faults, spec.crashes
     if isinstance(faults, str):
@@ -702,12 +711,13 @@ def simulate(
                 "the snapshots)"
             )
         Checkpointer(state, spec.checkpoint_dir, spec.checkpoint_every).arm()
-    return _finish_run(state, started)
+    return state
 
 
 def _finish_run(
     state: RunState,
     started: float,
+    collector: CollectorPause,
     restored_from: Optional[str] = None,
     restore_seconds: float = 0.0,
 ) -> SimulationResult:
@@ -719,9 +729,16 @@ def _finish_run(
     world = state.world
     scale = state.scale
 
-    # Run the observation window, then drain in-flight work (challenge
-    # retries, scheduled solves, digest actions) — recurring jobs stop at
-    # the horizon, so the queue empties on its own.
+    # Run the observation window one simulated day at a time — exactly
+    # one long run, by run()'s half-open ``until`` — settling the
+    # collector at each day boundary; then drain in-flight work
+    # (challenge retries, scheduled solves, digest actions): recurring
+    # jobs stop at the horizon, so the queue empties on its own.
+    day_end = (int(simulator.now // DAY) + 1) * DAY
+    while day_end < state.horizon:
+        simulator.run(until=day_end)
+        collector.day_boundary()
+        day_end += DAY
     simulator.run(until=state.horizon)
     simulator.run()
     # Safety net for the end-of-horizon leak: force any message still
@@ -774,6 +791,7 @@ def _finish_run(
             local_rows=exchange.local_rows,
             remote_rows=exchange.remote_rows,
         )
+    collector.close()  # the exit collection counts in wall_seconds
     return SimulationResult(
         store=state.store,
         world=world,
