@@ -42,6 +42,7 @@ from repro.experiments import run_simulation  # noqa: E402
 from repro.experiments.parallel import store_digest  # noqa: E402
 from repro.net.crashes import crash_preset_names  # noqa: E402
 from repro.util.simtime import DAY  # noqa: E402
+from repro.util.stats import safe_ratio  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -81,35 +82,44 @@ def main(argv=None) -> int:
             checkpoint_every=args.checkpoint_every * DAY,
             checkpoint_dir=checkpoint_dir,
         )
-        crash = result.crash_stats
-        ckpt = result.checkpoint_stats
+        metrics = result.metrics
+        by_component = {
+            name.rsplit(".", 1)[1]: count
+            for name, count in metrics.items()
+            if name.startswith("crashes.by_component.")
+        }
         digest = store_digest(result.store)
         print(
             f"preset={args.preset} seed={args.seed} crashes={args.crashes}: "
-            f"{crash.crashes} crashes "
-            f"({', '.join(f'{c}={n}' for c, n in crash.by_component)}); "
-            f"{crash.inbound_deferred} inbound deferred, "
-            f"{crash.redriven} re-driven, {crash.lost} lost, "
-            f"{crash.journals_rebuilt} journals rebuilt "
-            f"({crash.journal_mismatches} mismatches); "
-            f"{ckpt.written} checkpoints in {ckpt.write_seconds:.3f}s"
+            f"{metrics['crashes.crashes']} crashes "
+            f"({', '.join(f'{c}={n}' for c, n in by_component.items())}); "
+            f"{metrics['crashes.inbound_deferred']} inbound deferred, "
+            f"{metrics['crashes.redriven']} re-driven, "
+            f"{metrics['crashes.lost']} lost, "
+            f"{metrics['crashes.journals_rebuilt']} journals rebuilt "
+            f"({metrics['crashes.journal_mismatches']} mismatches); "
+            f"{metrics['checkpoint.written']} checkpoints in "
+            f"{metrics['checkpoint.write_seconds']:.3f}s"
         )
 
-        if not crash.enabled:
+        if not metrics["crashes.enabled"]:
             failures.append(
-                "crash plan was not installed (crash_stats.enabled is False)"
+                "crash plan was not installed (crashes.enabled is False)"
             )
-        if crash.crashes == 0:
+        if metrics["crashes.crashes"] == 0:
             failures.append("no crashes injected — the weather was too calm")
-        if crash.lost:
-            failures.append(f"{crash.lost} messages lost in crashes")
-        if crash.journal_mismatches:
+        if metrics["crashes.lost"]:
             failures.append(
-                f"{crash.journal_mismatches} journal rebuild mismatches"
+                f"{metrics['crashes.lost']} messages lost in crashes"
             )
-        if result.fault_stats is not None and not result.fault_stats.conserved:
+        if metrics["crashes.journal_mismatches"]:
+            failures.append(
+                f"{metrics['crashes.journal_mismatches']} journal rebuild "
+                "mismatches"
+            )
+        if not result.fault_stats.conserved:
             failures.append("outbound delivery conservation violated")
-        if ckpt.written == 0:
+        if metrics["checkpoint.written"] == 0:
             failures.append("no checkpoints written — nothing to restore")
 
         snapshot = latest_checkpoint(checkpoint_dir)
@@ -121,7 +131,7 @@ def main(argv=None) -> int:
         else:
             resumed = run_simulation(resume_from=str(snapshot))
             resumed_digest = store_digest(resumed.store)
-            restore_seconds = resumed.checkpoint_stats.restore_seconds
+            restore_seconds = resumed.metrics["checkpoint.restore_seconds"]
             resumed_wall = resumed.wall_seconds
             print(
                 f"resumed from {pathlib.Path(snapshot).name} "
@@ -138,15 +148,17 @@ def main(argv=None) -> int:
         "preset": args.preset,
         "seed": args.seed,
         "crashes": args.crashes,
-        "crash_count": crash.crashes,
-        "crashes_by_component": dict(crash.by_component),
-        "messages_lost": crash.lost,
-        "journal_mismatches": crash.journal_mismatches,
+        "crash_count": metrics["crashes.crashes"],
+        "crashes_by_component": by_component,
+        "messages_lost": metrics["crashes.lost"],
+        "journal_mismatches": metrics["crashes.journal_mismatches"],
         "wall_seconds": result.wall_seconds,
         "resumed_wall_seconds": resumed_wall,
-        "checkpoints_written": ckpt.written,
-        "checkpoint_write_seconds": ckpt.write_seconds,
-        "checkpoint_mean_write_seconds": ckpt.mean_write_seconds,
+        "checkpoints_written": metrics["checkpoint.written"],
+        "checkpoint_write_seconds": metrics["checkpoint.write_seconds"],
+        "checkpoint_mean_write_seconds": safe_ratio(
+            metrics["checkpoint.write_seconds"], metrics["checkpoint.written"]
+        ),
         "restore_seconds": restore_seconds,
         "store_digest": digest,
         "resumed_store_digest": resumed_digest,

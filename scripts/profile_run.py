@@ -32,7 +32,11 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.cli import add_sim_args, spec_from_args  # noqa: E402
+from repro.cli import (  # noqa: E402
+    add_sim_args,
+    format_run_metrics,
+    spec_from_args,
+)
 from repro.experiments import simulate  # noqa: E402
 from repro.experiments.registry import run_all  # noqa: E402
 
@@ -109,55 +113,10 @@ def main(argv=None) -> int:
     print(f"preset={args.preset} seed={args.seed}")
     print(
         f"simulation: {result.wall_seconds:.2f}s wall, "
-        f"{result.events_processed} events, "
         f"{sum(counts.values())} log records"
     )
-    memory = result.memory_stats
-    if memory is not None:
-        print(
-            f"peak memory: {memory.max_rss_bytes / 1e6:,.0f} MB RSS; store "
-            f"{memory.store_live_rows:,} rows "
-            f"({memory.store_live_bytes / 1e6:,.1f} MB) live, "
-            f"{memory.store_spilled_bytes / 1e6:,.1f} MB spilled"
-        )
-    shard_stats = result.shard_stats
-    if shard_stats is not None and hasattr(shard_stats, "per_shard"):
-        print(
-            f"shards: {shard_stats.n_shards} "
-            f"(max shard wall {shard_stats.max_shard_wall_seconds:.2f}s, "
-            f"{shard_stats.exchange_rows:,} exchange rows)"
-        )
-        for perf in shard_stats.per_shard:
-            print(
-                f"  shard {perf.index}: {perf.companies} companies, "
-                f"{perf.events_processed:,} events, {perf.wall_seconds:.2f}s, "
-                f"RSS {perf.max_rss_bytes / 1e6:,.0f} MB"
-            )
-    stats = result.cache_stats
-    print(
-        "substrate caches: "
-        f"dns {stats.dns_hits}/{stats.dns_hits + stats.dns_misses} hit "
-        f"({100 * stats.dns_hit_rate:.1f}%), "
-        f"dnsbl {stats.dnsbl_hits}/{stats.dnsbl_hits + stats.dnsbl_misses} "
-        f"({100 * stats.dnsbl_hit_rate:.1f}%), "
-        f"route {stats.route_hits}/{stats.route_hits + stats.route_misses} "
-        f"({100 * stats.route_hit_rate:.1f}%)"
-    )
-    crash = result.crash_stats
-    if crash is not None and crash.enabled:
-        print(
-            f"crash injection: {crash.crashes} crashes, "
-            f"{crash.inbound_deferred} inbound deferred, "
-            f"{crash.redriven} re-driven, {crash.lost} lost"
-        )
-    ckpt = result.checkpoint_stats
-    if ckpt is not None and ckpt.written:
-        print(
-            f"checkpointing: {ckpt.written} snapshots, "
-            f"{ckpt.write_seconds:.3f}s total write "
-            f"({ckpt.mean_write_seconds:.3f}s mean, "
-            f"{100 * ckpt.write_seconds / result.wall_seconds:.1f}% of wall)"
-        )
+    print(format_run_metrics(result))
+    if result.metrics["checkpoint.written"]:
         from repro.core.recovery import latest_checkpoint, load_checkpoint
 
         # Sharded runs snapshot under per-shard subdirectories; time the

@@ -86,8 +86,8 @@ result = run_simulation({preset!r}, seed={seed})
 print(json.dumps({{
     "wall_seconds": result.wall_seconds,
     "messages": len(result.store.mta),
-    "events": result.events_processed,
-    "max_rss_bytes": result.memory_stats.max_rss_bytes,
+    "events": result.metrics["sim.events"],
+    "max_rss_bytes": result.metrics["memory.max_rss_bytes"],
 }}))
 """
 
@@ -97,9 +97,9 @@ from repro.experiments.runner import run_simulation
 result = run_simulation({preset!r}, seed={seed}, shard_of=({index}, {shards}))
 print(json.dumps({{
     "wall_seconds": result.wall_seconds,
-    "events": result.events_processed,
-    "max_rss_bytes": result.memory_stats.max_rss_bytes,
-    "local_rows": result.shard_stats.local_rows,
+    "events": result.metrics["sim.events"],
+    "max_rss_bytes": result.metrics["memory.max_rss_bytes"],
+    "local_rows": result.exchange.local_rows,
 }}))
 """
 
@@ -113,9 +113,9 @@ try:
     )
     print(json.dumps({{
         "wall_seconds": result.wall_seconds,
-        "max_rss_bytes": result.memory_stats.max_rss_bytes,
-        "spilled_bytes": result.memory_stats.store_spilled_bytes,
-        "live_rows": result.memory_stats.store_live_rows,
+        "max_rss_bytes": result.metrics["memory.max_rss_bytes"],
+        "spilled_bytes": result.metrics["memory.store_spilled_bytes"],
+        "live_rows": result.metrics["memory.store_live_rows"],
     }}))
 finally:
     shutil.rmtree(d, ignore_errors=True)

@@ -244,8 +244,6 @@ def render(store: LogStore, ledger_stats=None) -> str:
         f"{ledger_stats.stranded} stranded, "
         f"{ledger_stats.leaked_challenge_slots} leaked challenge slot(s)"
     )
-    if ledger_stats.violations:
-        parts.append("violations:\n  " + "\n  ".join(ledger_stats.violations))
     parts.append(build_company_table(ledger_stats).render())
     stranded_table = build_stranded_table(ledger_stats)
     if stranded_table is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.store import LogStore
 from repro.util.render import TextTable
@@ -111,54 +112,67 @@ def build_crash_table(breakdown: RecoveryBreakdown) -> TextTable:
     return table
 
 
-def build_crash_counter_table(crash_stats) -> TextTable:
+#: ``crashes.*`` metrics in report order, with their row labels.
+_CRASH_COUNTERS = (
+    ("component crashes", "crashes"),
+    ("inbound deferred to recovery", "inbound_deferred"),
+    ("inbound refused (past horizon)", "inbound_refused"),
+    ("digest sweeps skipped", "digests_skipped"),
+    ("expiry sweeps skipped", "expiries_skipped"),
+    ("outbound attempts deferred", "outbound_deferred"),
+    ("in-flight mail re-driven", "redriven"),
+    ("gray-spool journals rebuilt", "journals_rebuilt"),
+    ("journal rebuild mismatches", "journal_mismatches"),
+    ("messages lost", "lost"),
+)
+
+
+def build_crash_counter_table(metrics: dict) -> TextTable:
     table = TextTable(
         headers=["counter", "value"],
         title="Crash-injection counters",
     )
-    table.add_row("component crashes", crash_stats.crashes)
-    table.add_row("inbound deferred to recovery", crash_stats.inbound_deferred)
-    table.add_row("inbound refused (past horizon)", crash_stats.inbound_refused)
-    table.add_row("digest sweeps skipped", crash_stats.digests_skipped)
-    table.add_row("expiry sweeps skipped", crash_stats.expiries_skipped)
-    table.add_row("outbound attempts deferred", crash_stats.outbound_deferred)
-    table.add_row("in-flight mail re-driven", crash_stats.redriven)
-    table.add_row("gray-spool journals rebuilt", crash_stats.journals_rebuilt)
-    table.add_row("journal rebuild mismatches", crash_stats.journal_mismatches)
-    table.add_row("messages lost", crash_stats.lost)
-    table.add_row(
-        "recovery verdict",
-        "ZERO LOSS" if crash_stats.clean_recovery else "LOSSY",
+    for label, name in _CRASH_COUNTERS:
+        table.add_row(label, metrics[f"crashes.{name}"])
+    clean = not (
+        metrics["crashes.lost"] or metrics["crashes.journal_mismatches"]
     )
+    table.add_row("recovery verdict", "ZERO LOSS" if clean else "LOSSY")
     return table
 
 
-def build_checkpoint_table(checkpoint_stats) -> TextTable:
+def build_checkpoint_table(
+    metrics: dict, restored_from: Optional[str]
+) -> TextTable:
     table = TextTable(
         headers=["metric", "value"],
         title="Checkpoint/restore overhead (simulation harness)",
     )
+    written = metrics["checkpoint.written"]
+    write_seconds = metrics["checkpoint.write_seconds"]
     table.add_row(
-        "snapshot interval", format_duration(checkpoint_stats.every)
+        "snapshot interval", format_duration(metrics["checkpoint.every"])
     )
-    table.add_row("snapshots written", checkpoint_stats.written)
+    table.add_row("snapshots written", written)
+    table.add_row("total write time", f"{write_seconds:.3f}s")
     table.add_row(
-        "total write time", f"{checkpoint_stats.write_seconds:.3f}s"
+        "mean write time", f"{safe_ratio(write_seconds, written):.3f}s"
     )
-    table.add_row(
-        "mean write time", f"{checkpoint_stats.mean_write_seconds:.3f}s"
-    )
-    if checkpoint_stats.restored_from is not None:
-        table.add_row("restored from", checkpoint_stats.restored_from)
+    if restored_from is not None:
+        table.add_row("restored from", restored_from)
         table.add_row(
-            "restore time", f"{checkpoint_stats.restore_seconds:.3f}s"
+            "restore time", f"{metrics['checkpoint.restore_seconds']:.3f}s"
         )
     return table
 
 
-def render(store: LogStore, crash_stats=None, checkpoint_stats=None) -> str:
-    """Full crash-and-recovery report; the stats objects (optional)
-    append the run's injection counters and harness overhead."""
+def render(
+    store: LogStore,
+    metrics: Optional[dict] = None,
+    restored_from: Optional[str] = None,
+) -> str:
+    """Full crash-and-recovery report; the run's metrics map (optional)
+    appends its injection counters and harness overhead."""
     breakdown = compute(store)
     parts = []
     if breakdown.components:
@@ -174,22 +188,22 @@ def render(store: LogStore, crash_stats=None, checkpoint_stats=None) -> str:
         )
     else:
         parts.append("no component crashes (crash injection off or quiet run)")
-    if crash_stats is not None and crash_stats.enabled:
-        parts.append(build_crash_counter_table(crash_stats).render())
-    if checkpoint_stats is not None and (
-        checkpoint_stats.written or checkpoint_stats.restored_from
+    if metrics is not None and metrics["crashes.enabled"]:
+        parts.append(build_crash_counter_table(metrics).render())
+    if metrics is not None and (
+        metrics["checkpoint.written"] or restored_from
     ):
-        parts.append(build_checkpoint_table(checkpoint_stats).render())
+        parts.append(build_checkpoint_table(metrics, restored_from).render())
     return "\n\n".join(parts)
 
 
 def render_result(result) -> str:
     """Registry adapter: renders from a full
     :class:`~repro.experiments.runner.SimulationResult` (or anything with
-    a ``store``; the stats attributes are optional so loaded/summarised
-    runs work)."""
+    a ``store``; ``metrics`` is optional so loaded/summarised runs
+    work)."""
     return render(
         result.store,
-        getattr(result, "crash_stats", None),
-        getattr(result, "checkpoint_stats", None),
+        getattr(result, "metrics", None),
+        getattr(result, "restored_from", None),
     )

@@ -37,6 +37,7 @@ from repro.experiments.registry import (
 from repro.core.config import chain_preset_names
 from repro.net.crashes import crash_preset_names
 from repro.net.faults import fault_preset_names
+from repro.util.metrics import format_metrics
 from repro.util.simtime import DAY
 from repro.workload.scale import preset_names
 
@@ -397,6 +398,16 @@ def _load_or_run(args: argparse.Namespace):
     return simulate(spec_from_args(args))
 
 
+def format_run_metrics(result) -> str:
+    """A finished run's metrics map, plus a sharded run's per-shard
+    costs, one ``name  value`` line each (``repro run`` and
+    ``scripts/profile_run.py`` print this)."""
+    metrics = dict(result.metrics)
+    if result.shard_stats is not None:
+        metrics.update(result.shard_stats.metrics())
+    return format_metrics(metrics)
+
+
 def _command_run(args: argparse.Namespace) -> int:
     result = _load_or_run(args)
     counts = result.store.summary_counts()
@@ -408,23 +419,8 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     for name, value in counts.items():
         print(f"  {name:20s} {value:,}")
-    memory = getattr(result, "memory_stats", None)
-    if memory is not None:
-        print(
-            f"peak RSS {memory.max_rss_bytes / 1e6:,.0f} MB; store "
-            f"{memory.store_live_rows:,} rows live "
-            f"({memory.store_live_bytes / 1e6:,.1f} MB), "
-            f"{memory.store_spilled_bytes / 1e6:,.1f} MB spilled"
-        )
-    shard_stats = getattr(result, "shard_stats", None)
-    if shard_stats is not None and hasattr(shard_stats, "per_shard"):
-        for perf in shard_stats.per_shard:
-            print(
-                f"  shard {perf.index}: {perf.companies} companies, "
-                f"{perf.events_processed:,} events, "
-                f"{perf.wall_seconds:.1f}s, "
-                f"RSS {perf.max_rss_bytes / 1e6:,.0f} MB"
-            )
+    if getattr(result, "metrics", None) is not None:
+        print(format_run_metrics(result))
     scenario = getattr(result, "scenario", None)
     if scenario is not None and scenario.verdicts:
         from repro.analysis import verdicts

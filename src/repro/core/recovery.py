@@ -82,31 +82,6 @@ class RunState:
     scenario: object = None
 
 
-@dataclass
-class CheckpointStats:
-    """What checkpointing cost one run (reported by the profiler and the
-    ``recovery`` experiment)."""
-
-    #: Snapshot spacing in sim-seconds (0 when checkpointing was off).
-    every: float = 0.0
-    #: Snapshots written during the run.
-    written: int = 0
-    #: Total wall-clock seconds the *simulation* was blocked on snapshot
-    #: writes: the full pickle+write when synchronous, just the fork and
-    #: any wait for the previous background writer otherwise.
-    write_seconds: float = 0.0
-    #: Path of the newest snapshot, or ``None``.
-    last_path: Optional[str] = None
-    #: Path this run was restored from, or ``None`` for a fresh run.
-    restored_from: Optional[str] = None
-    #: Wall-clock seconds spent loading + reconnecting the snapshot.
-    restore_seconds: float = 0.0
-
-    @property
-    def mean_write_seconds(self) -> float:
-        return self.write_seconds / self.written if self.written else 0.0
-
-
 class Checkpointer:
     """Recurring snapshot writer, scheduled with ``schedule_every``.
 
@@ -220,20 +195,6 @@ class Checkpointer:
         state = self.__dict__.copy()
         state["_child"] = None
         return state
-
-    def stats(
-        self,
-        restored_from: Optional[str] = None,
-        restore_seconds: float = 0.0,
-    ) -> CheckpointStats:
-        return CheckpointStats(
-            every=self.every,
-            written=self.written,
-            write_seconds=self.write_seconds,
-            last_path=self.last_path,
-            restored_from=restored_from,
-            restore_seconds=restore_seconds,
-        )
 
 
 def _snapshot_path(directory: str, sim_time: float) -> str:

@@ -63,8 +63,8 @@ EXPERIMENTS: Dict[str, Callable[[SimulationResult], str]] = {
     "faults": lambda r: faults.render_result(r),
     # Same shape: the lifecycle verdict lives on result.ledger_stats.
     "audit": lambda r: ledger.render_result(r),
-    # Same shape again: crash counters and checkpoint overhead live on
-    # result.crash_stats / result.checkpoint_stats.
+    # Same shape again: crash counters and checkpoint overhead live in
+    # result.metrics.
     "recovery": lambda r: recovery.render_result(r),
     # Scenario pass/fail verdicts evaluate result.scenario's declared
     # checks against the store (a fixed notice for scenario-free runs).

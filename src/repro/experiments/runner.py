@@ -29,17 +29,23 @@ from repro.core.config import FilterChainSpec
 from repro.core.engine import CompanyInstallation
 from repro.core.ledger import LedgerError, LedgerSnapshot
 from repro.core.message import reset_msg_ids
-from repro.core.recovery import (
-    Checkpointer,
-    CheckpointStats,
-    RunState,
-    load_checkpoint,
+from repro.core.recovery import Checkpointer, RunState, load_checkpoint
+from repro.net.crashes import (
+    CrashCounters,
+    CrashPlan,
+    CrashSettings,
+    get_crash_preset,
 )
-from repro.net.crashes import CrashPlan, CrashSettings, get_crash_preset
 from repro.net.exchange import ShardContext, ShardExchange, ShardMap
-from repro.net.faults import FaultPlan, FaultSettings, get_fault_preset
+from repro.net.faults import (
+    FaultCounters,
+    FaultPlan,
+    FaultSettings,
+    get_fault_preset,
+)
 from repro.sim.engine import Simulator
 from repro.util.gcpause import CollectorPause
+from repro.util.metrics import MetricsView, flatten
 from repro.util.rng import RngStreams
 from repro.util.simtime import DAY
 from repro.workload.behavior import BehaviorModel
@@ -49,16 +55,11 @@ from repro.workload.generator import TraceGenerator
 from repro.workload.scale import ScaleConfig, get_preset
 
 
-@dataclass(frozen=True)
-class SubstrateCacheStats:
-    """Hit/miss counters of the simulated-substrate caches after one run."""
+class SubstrateCacheStats(MetricsView):
+    """Hit/miss counters of the simulated-substrate caches after one run:
+    a view of the ``cache.*`` metrics."""
 
-    dns_hits: int
-    dns_misses: int
-    dnsbl_hits: int
-    dnsbl_misses: int
-    route_hits: int
-    route_misses: int
+    GROUP = "cache"
 
     @staticmethod
     def _rate(hits: int, misses: int) -> float:
@@ -79,39 +80,21 @@ class SubstrateCacheStats:
 
     @classmethod
     def collect(cls, world: World) -> "SubstrateCacheStats":
-        services = list(world.services.values())
-        return cls(
-            dns_hits=world.resolver.cache_hits,
-            dns_misses=world.resolver.cache_misses,
-            dnsbl_hits=sum(s.cache_hits for s in services),
-            dnsbl_misses=sum(s.cache_misses for s in services),
-            route_hits=world.internet.route_hits,
-            route_misses=world.internet.route_misses,
-        )
+        return cls(collect_metrics(world=world))
 
 
-@dataclass(frozen=True)
-class FaultStats:
-    """Fault-injection counters plus the delivery-conservation ledger.
+class FaultStats(MetricsView):
+    """Fault-injection counters plus the delivery-conservation ledger: a
+    view of the ``faults.*`` metrics.
 
     Collected after every run (faults enabled or not): the conservation
     invariant — every message handed to an outbound MTA reached exactly
-    one terminal status — is checked unconditionally.
+    one terminal status — is checked unconditionally. ``drained`` counts
+    messages force-expired by the end-of-run drain (0 when the event
+    queue emptied on its own, which it does for full-horizon runs).
     """
 
-    enabled: bool
-    greylist_deferrals: int
-    storm_rejections: int
-    outage_failures: int
-    dns_failures: int
-    retries_scheduled: int
-    messages_sent: int
-    delivered: int
-    bounced: int
-    expired: int
-    #: Messages force-expired by the end-of-run drain (0 when the event
-    #: queue emptied on its own, which it does for full-horizon runs).
-    drained: int
+    GROUP = "faults"
 
     @property
     def conserved(self) -> bool:
@@ -124,242 +107,197 @@ class FaultStats:
         plan: Optional[FaultPlan],
         installations: dict[str, CompanyInstallation],
     ) -> "FaultStats":
-        counters = plan.counters if plan is not None else None
-        mtas = _unique_mtas(installations)
         return cls(
-            enabled=plan is not None,
-            greylist_deferrals=counters.greylist_deferrals if counters else 0,
-            storm_rejections=counters.storm_rejections if counters else 0,
-            outage_failures=counters.outage_failures if counters else 0,
-            dns_failures=counters.dns_failures if counters else 0,
-            retries_scheduled=sum(m.retries_scheduled for m in mtas),
-            messages_sent=sum(m.sent_messages for m in mtas),
-            delivered=sum(m.delivered for m in mtas),
-            bounced=sum(m.bounced for m in mtas),
-            expired=sum(m.expired for m in mtas),
-            drained=sum(m.drained for m in mtas),
+            collect_metrics(installations=installations, fault_plan=plan)
         )
 
 
-@dataclass(frozen=True)
-class LedgerStats:
-    """End-of-run verdict of the message-lifecycle ledger.
+class LedgerStats(MetricsView):
+    """End-of-run verdict of the message-lifecycle ledger: a view of the
+    ``ledger.*`` metrics plus the per-company snapshots.
 
     The inbound mirror of :class:`FaultStats`' delivery conservation:
     every message MTA-IN accepted must sit in exactly one terminal bucket
     (``accepted == delivered + black_dropped + filter_dropped + released
     + deleted + expired + pending_at_horizon``) with nothing left in
-    quarantine and no pending-challenge slot outliving its messages.
-    Collected — and enforced — after every run; ``audit`` records whether
-    the run also validated each transition as it happened.
+    quarantine or ``stranded`` and no pending-challenge slot outliving
+    its messages. Enforced per company after every run — a run that
+    fails the check raises :class:`LedgerError` with each violation
+    instead of returning; ``audit`` records whether the run also
+    validated each transition as it happened.
     """
 
-    audit: bool
-    accepted: int
-    delivered: int
-    black_dropped: int
-    filter_dropped: int
-    quarantined_total: int
-    released: int
-    deleted: int
-    expired: int
-    pending_at_horizon: int
-    #: Messages without a terminal status at end-of-run (must be 0).
-    stranded: int
-    #: Pending-challenge slots still live after the horizon drain — each
-    #: one means a sender's next message would skip its challenge.
-    leaked_challenge_slots: int
-    per_company: tuple[LedgerSnapshot, ...]
-    violations: tuple[str, ...]
+    GROUP = "ledger"
+
+    def __init__(
+        self, metrics: dict, per_company: tuple[LedgerSnapshot, ...]
+    ) -> None:
+        super().__init__(metrics)
+        vars(self).update(per_company=per_company)
 
     @property
     def terminal_total(self) -> int:
-        return (
-            self.delivered
-            + self.black_dropped
-            + self.filter_dropped
-            + self.released
-            + self.deleted
-            + self.expired
-            + self.pending_at_horizon
-        )
+        return sum(getattr(self, name) for name in _TERMINAL_BUCKETS)
 
     @property
     def conserved(self) -> bool:
-        return not self.violations
-
-    @classmethod
-    def collect(
-        cls, installations: dict[str, CompanyInstallation]
-    ) -> "LedgerStats":
-        """Snapshot every company's ledger and cross-check it against the
-        gray spool's and challenge manager's own counters. Call after
-        ``shutdown()`` has drained the spools."""
-        snapshots = []
-        violations = []
-        leaked_slots = 0
-        audit = False
-        for company_id in sorted(installations):
-            inst = installations[company_id]
-            snap = inst.ledger.snapshot()
-            snapshots.append(snap)
-            audit = audit or snap.audit
-            if not snap.conserved:
-                violations.append(
-                    f"{company_id}: {snap.accepted} accepted != "
-                    f"{snap.terminal_total} terminal "
-                    f"(in quarantine: {snap.in_quarantine}, "
-                    f"stranded: {len(snap.stranded)})"
-                )
-            spool = inst.gray_spool
-            spool_view = (
-                spool.total_entered,
-                spool.total_released,
-                spool.total_expired,
-                spool.total_deleted,
-                spool.total_pending_at_horizon,
-                spool.pending_count,
-            )
-            ledger_view = (
-                snap.quarantined_total,
-                snap.released,
-                snap.expired,
-                snap.deleted,
-                snap.pending_at_horizon,
-                snap.in_quarantine,
-            )
-            if spool_view != ledger_view:
-                violations.append(
-                    f"{company_id}: gray spool disagrees with ledger: "
-                    f"spool {spool_view} != ledger {ledger_view} "
-                    f"(entered/released/expired/deleted/at-horizon/pending)"
-                )
-            leaked = inst.challenge_manager.pending_count
-            if leaked:
-                leaked_slots += leaked
-                slots = inst.challenge_manager.pending_items()[:5]
-                violations.append(
-                    f"{company_id}: {leaked} pending-challenge slot(s) "
-                    f"outlived their quarantined messages: {slots}"
-                )
-        totals = {
-            field: sum(getattr(s, field) for s in snapshots)
-            for field in (
-                "accepted",
-                "delivered",
-                "black_dropped",
-                "filter_dropped",
-                "quarantined_total",
-                "released",
-                "deleted",
-                "expired",
-                "pending_at_horizon",
-            )
-        }
-        return cls(
-            audit=audit,
-            stranded=sum(len(s.stranded) for s in snapshots),
-            leaked_challenge_slots=leaked_slots,
-            per_company=tuple(snapshots),
-            violations=tuple(violations),
-            **totals,
+        return (
+            self.accepted == self.terminal_total
+            and not self.in_quarantine
+            and not self.stranded
+            and not self.leaked_challenge_slots
         )
 
 
-@dataclass(frozen=True)
-class CrashStats:
-    """Crash-injection counters plus the recovery verdict.
-
-    ``journal_mismatches`` must stay 0 under the ``journaled`` durability
-    model — a rebuilt index that disagrees with pre-crash state is a
-    recovery bug, not bad weather. ``lost`` is nonzero only under the
-    deliberately broken ``lossy`` model (where the lifecycle ledger is
-    expected to blow up)."""
-
-    enabled: bool
-    crashes: int
-    by_component: tuple
-    inbound_deferred: int
-    inbound_refused: int
-    digests_skipped: int
-    expiries_skipped: int
-    outbound_deferred: int
-    redriven: int
-    lost: int
-    journals_rebuilt: int
-    journal_mismatches: int
-
-    @property
-    def clean_recovery(self) -> bool:
-        """No message lost, every journal rebuilt consistently."""
-        return self.lost == 0 and self.journal_mismatches == 0
-
-    @classmethod
-    def collect(cls, plan: Optional[CrashPlan]) -> "CrashStats":
-        if plan is None:
-            return cls(
-                enabled=False, crashes=0, by_component=(),
-                inbound_deferred=0, inbound_refused=0, digests_skipped=0,
-                expiries_skipped=0, outbound_deferred=0, redriven=0,
-                lost=0, journals_rebuilt=0, journal_mismatches=0,
-            )
-        c = plan.counters
-        return cls(
-            enabled=True,
-            crashes=c.crashes,
-            by_component=tuple(sorted(c.by_component.items())),
-            inbound_deferred=c.inbound_deferred,
-            inbound_refused=c.inbound_refused,
-            digests_skipped=c.digests_skipped,
-            expiries_skipped=c.expiries_skipped,
-            outbound_deferred=c.outbound_deferred,
-            redriven=c.redriven,
-            lost=c.lost,
-            journals_rebuilt=c.journals_rebuilt,
-            journal_mismatches=c.journal_mismatches,
-        )
+#: The ledger's terminal buckets; with ``accepted``,
+#: ``quarantined_total`` and ``in_quarantine`` they are the ``ledger.*``
+#: per-company sums.
+_TERMINAL_BUCKETS = (
+    "delivered",
+    "black_dropped",
+    "filter_dropped",
+    "released",
+    "deleted",
+    "expired",
+    "pending_at_horizon",
+)
 
 
-@dataclass(frozen=True)
-class MemoryStats:
-    """Peak-memory accounting for one run (or one shard of a run).
+def collect_metrics(
+    world: Optional[World] = None,
+    installations: Optional[dict] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    state: Optional[RunState] = None,
+    ledger: tuple = (),
+    restore_seconds: float = 0.0,
+) -> dict:
+    """The run's metrics map, read once from the counters its resolver,
+    DNSBLs, router, MTAs, fault and crash plans, ledgers, checkpointer,
+    store and simulator already keep (DESIGN.md "Run metrics").
 
-    ``max_rss_bytes`` is the process high-water mark — with spill enabled
-    it should stay roughly flat as the horizon grows, which is the whole
-    point of the streaming store. The ``store_*`` fields split the
-    measurement database between its bounded in-memory tails and what
-    already went to disk.
+    The end of a run passes its whole *state* with its ledger snapshots
+    (*ledger*) and *restore_seconds*. A *world* alone gives the
+    ``cache.*`` group, *installations* (and *fault_plan*) the
+    ``faults.*`` group — how the live service reads them.
     """
+    if state is not None:
+        world = state.world
+        installations = state.installations
+        fault_plan = state.fault_plan
+    metrics: dict = {}
+    if world is not None:
+        services = world.services.values()
+        metrics.update({
+            "cache.dns_hits": world.resolver.cache_hits,
+            "cache.dns_misses": world.resolver.cache_misses,
+            "cache.dnsbl_hits": sum(s.cache_hits for s in services),
+            "cache.dnsbl_misses": sum(s.cache_misses for s in services),
+            "cache.route_hits": world.internet.route_hits,
+            "cache.route_misses": world.internet.route_misses,
+        })
+    if installations is not None:
+        metrics["faults.enabled"] = fault_plan is not None
+        metrics.update(flatten("faults", vars(
+            fault_plan.counters if fault_plan is not None else FaultCounters()
+        )))
+        mtas = _unique_mtas(installations)
+        metrics["faults.messages_sent"] = sum(m.sent_messages for m in mtas)
+        for name in ("retries_scheduled", "delivered", "bounced", "expired",
+                     "drained"):
+            metrics[f"faults.{name}"] = sum(getattr(m, name) for m in mtas)
+    if state is None:
+        return metrics
 
-    max_rss_bytes: int
-    store_live_rows: int
-    store_live_bytes: int
-    store_spilled_bytes: int
+    metrics["ledger.audit"] = state.audit
+    for name in (
+        ("accepted", "quarantined_total", "in_quarantine") + _TERMINAL_BUCKETS
+    ):
+        metrics[f"ledger.{name}"] = sum(getattr(s, name) for s in ledger)
+    metrics["ledger.stranded"] = sum(len(s.stranded) for s in ledger)
+    metrics["ledger.leaked_challenge_slots"] = sum(
+        inst.challenge_manager.pending_count for inst in installations.values()
+    )
 
-    @classmethod
-    def collect(cls, store: LogStore) -> "MemoryStats":
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # ru_maxrss is kilobytes on Linux, bytes on macOS.
-        if sys.platform != "darwin":
-            rss *= 1024
-        return cls(
-            max_rss_bytes=rss,
-            store_live_rows=store.live_rows(),
-            store_live_bytes=store.live_bytes_estimate(),
-            store_spilled_bytes=store.spilled_bytes(),
+    crash_plan = state.crash_plan
+    metrics["crashes.enabled"] = crash_plan is not None
+    metrics.update(flatten("crashes", vars(
+        crash_plan.counters if crash_plan is not None else CrashCounters()
+    )))
+
+    checkpointer = state.checkpointer
+    metrics.update({
+        "checkpoint.every": checkpointer.every if checkpointer else 0.0,
+        "checkpoint.written": checkpointer.written if checkpointer else 0,
+        "checkpoint.write_seconds": (
+            checkpointer.write_seconds if checkpointer else 0.0
+        ),
+        "checkpoint.restore_seconds": restore_seconds,
+    })
+
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is kilobytes on Linux, bytes on macOS.
+    if sys.platform != "darwin":
+        rss *= 1024
+    store = state.store
+    metrics.update({
+        "memory.max_rss_bytes": rss,
+        "memory.store_live_rows": store.live_rows(),
+        "memory.store_live_bytes": store.live_bytes_estimate(),
+        "memory.store_spilled_bytes": store.spilled_bytes(),
+        "sim.events": state.simulator.events_processed,
+    })
+    return metrics
+
+
+def _audit_ledgers(installations: dict[str, CompanyInstallation]) -> tuple:
+    """``(snapshots, violations)``: every company's ledger snapshot, in
+    company-id order, and each way one fails conservation or disagrees
+    with the gray spool's and challenge manager's own counters. Call
+    after ``shutdown()`` has drained the spools."""
+    snapshots = []
+    violations = []
+    for company_id in sorted(installations):
+        inst = installations[company_id]
+        snap = inst.ledger.snapshot()
+        snapshots.append(snap)
+        if not snap.conserved:
+            violations.append(
+                f"{company_id}: {snap.accepted} accepted != "
+                f"{snap.terminal_total} terminal "
+                f"(in quarantine: {snap.in_quarantine}, "
+                f"stranded: {len(snap.stranded)})"
+            )
+        spool = inst.gray_spool
+        spool_view = (
+            spool.total_entered,
+            spool.total_released,
+            spool.total_expired,
+            spool.total_deleted,
+            spool.total_pending_at_horizon,
+            spool.pending_count,
         )
-
-
-@dataclass(frozen=True)
-class ShardRunInfo:
-    """One shard's exchange-side residue, for the driver's reconciler."""
-
-    index: int
-    n_shards: int
-    #: ``(owner shard, epoch day) -> (row count, stream digest)``.
-    manifests: dict
-    local_rows: int
-    remote_rows: int
+        ledger_view = (
+            snap.quarantined_total,
+            snap.released,
+            snap.expired,
+            snap.deleted,
+            snap.pending_at_horizon,
+            snap.in_quarantine,
+        )
+        if spool_view != ledger_view:
+            violations.append(
+                f"{company_id}: gray spool disagrees with ledger: "
+                f"spool {spool_view} != ledger {ledger_view} "
+                f"(entered/released/expired/deleted/at-horizon/pending)"
+            )
+        leaked = inst.challenge_manager.pending_count
+        if leaked:
+            slots = inst.challenge_manager.pending_items()[:5]
+            violations.append(
+                f"{company_id}: {leaked} pending-challenge slot(s) "
+                f"outlived their quarantined messages: {slots}"
+            )
+    return tuple(snapshots), tuple(violations)
 
 
 def _unique_mtas(installations: dict[str, CompanyInstallation]) -> list:
@@ -384,23 +322,40 @@ class SimulationResult:
     info: DeploymentInfo
     seed: int
     wall_seconds: float
-    cache_stats: SubstrateCacheStats
-    fault_stats: Optional[FaultStats] = None
-    ledger_stats: Optional[LedgerStats] = None
-    crash_stats: Optional[CrashStats] = None
-    checkpoint_stats: Optional[CheckpointStats] = None
-    memory_stats: Optional[MemoryStats] = None
-    #: Engine event count (mirrors ``simulator.events_processed``; summed
-    #: across workers for sharded runs, where ``simulator`` is ``None``).
-    events_processed: int = 0
-    #: Per-shard :class:`ShardRunInfo` for a shard worker, an aggregate
-    #: :class:`repro.experiments.sharded.ShardStats` for a merged sharded
-    #: result, ``None`` for plain runs.
+    #: Every counter of the run under its dotted name, from
+    #: :func:`collect_metrics` (merged across workers for sharded runs).
+    metrics: dict
+    #: Each company's end-of-run ledger snapshot, in company-id order.
+    ledger_snapshots: tuple = ()
+    #: The snapshot this run resumed from, ``None`` for a fresh run.
+    restored_from: Optional[str] = None
+    #: A shard worker's cross-shard exchange (manifests and row counts),
+    #: ``None`` otherwise.
+    exchange: Optional[ShardExchange] = None
+    #: A merged sharded result's
+    #: :class:`repro.experiments.sharded.ShardStats`, ``None`` otherwise.
     shard_stats: object = None
     #: The resolved :class:`repro.scenarios.ScenarioSpec` this run
     #: executed, ``None`` for scenario-free runs. The ``verdicts``
     #: experiment evaluates its checks against the store.
     scenario: object = None
+
+    @property
+    def events_processed(self) -> int:
+        """Engine event count (summed across workers, sharded)."""
+        return self.metrics["sim.events"]
+
+    @property
+    def cache_stats(self) -> SubstrateCacheStats:
+        return SubstrateCacheStats(self.metrics)
+
+    @property
+    def fault_stats(self) -> FaultStats:
+        return FaultStats(self.metrics)
+
+    @property
+    def ledger_stats(self) -> LedgerStats:
+        return LedgerStats(self.metrics, self.ledger_snapshots)
 
 
 #: :class:`RunSpec` fields that never change what a run measures: its
@@ -752,11 +707,11 @@ def _finish_run(
     # retired; then the lifecycle verdict is enforced unconditionally.
     for installation in installations.values():
         installation.shutdown()
-    ledger_stats = LedgerStats.collect(installations)
-    if not ledger_stats.conserved:
+    ledger, violations = _audit_ledgers(installations)
+    if violations:
         raise LedgerError(
             "message-lifecycle conservation violated:\n  "
-            + "\n  ".join(ledger_stats.violations)
+            + "\n  ".join(violations)
         )
 
     info = DeploymentInfo(
@@ -773,24 +728,7 @@ def _finish_run(
         # Join any in-flight background snapshot writer: every snapshot
         # is complete on disk before the run's results are visible.
         state.checkpointer.finalize()
-        checkpoint_stats = state.checkpointer.stats(
-            restored_from=restored_from, restore_seconds=restore_seconds
-        )
-    else:
-        checkpoint_stats = CheckpointStats(
-            restored_from=restored_from, restore_seconds=restore_seconds
-        )
     shard_ctx = getattr(state.generator, "shard", None)
-    shard_stats = None
-    if shard_ctx is not None:
-        exchange = shard_ctx.exchange
-        shard_stats = ShardRunInfo(
-            index=shard_ctx.index,
-            n_shards=shard_ctx.n_shards,
-            manifests=dict(exchange.manifests),
-            local_rows=exchange.local_rows,
-            remote_rows=exchange.remote_rows,
-        )
     collector.close()  # the exit collection counts in wall_seconds
     return SimulationResult(
         store=state.store,
@@ -801,14 +739,12 @@ def _finish_run(
         info=info,
         seed=state.seed,
         wall_seconds=time.perf_counter() - started,
-        cache_stats=SubstrateCacheStats.collect(world),
-        fault_stats=FaultStats.collect(state.fault_plan, installations),
-        ledger_stats=ledger_stats,
-        crash_stats=CrashStats.collect(state.crash_plan),
-        checkpoint_stats=checkpoint_stats,
-        memory_stats=MemoryStats.collect(state.store),
-        events_processed=simulator.events_processed,
-        shard_stats=shard_stats,
+        metrics=collect_metrics(
+            state=state, ledger=ledger, restore_seconds=restore_seconds
+        ),
+        ledger_snapshots=ledger,
+        restored_from=restored_from,
+        exchange=shard_ctx.exchange if shard_ctx is not None else None,
         scenario=state.scenario,
     )
 

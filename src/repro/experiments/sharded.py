@@ -42,21 +42,17 @@ from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import LogStore, MergedTable, TABLES
 from repro.core.config import CompanyConfig
 from repro.core.ledger import LedgerError
-from repro.core.recovery import CheckpointError, CheckpointStats, latest_checkpoint
+from repro.core.recovery import CheckpointError, latest_checkpoint
 from repro.experiments.parallel import _pool_context
 from repro.experiments.runner import (
-    CrashStats,
-    FaultStats,
     LedgerStats,
-    MemoryStats,
     RunSpec,
-    ShardRunInfo,
     SimulationResult,
-    SubstrateCacheStats,
     run_simulation,
 )
-from repro.net.exchange import reconcile
+from repro.net.exchange import ShardExchange, reconcile
 from repro.scenarios import resolve_scenario
+from repro.util.metrics import merge
 
 
 @dataclass(frozen=True)
@@ -100,16 +96,18 @@ class ShardStats:
     def exchange_rows(self) -> int:
         return sum(count for count, _digest in self.manifests.values())
 
-    @property
-    def cross_shard_rows(self) -> int:
-        """Rows that crossed a shard boundary (anyone's remote traffic)."""
-        return sum(p.remote_rows for p in self.per_shard) // max(
-            1, self.n_shards - 1
-        ) if self.n_shards > 1 else 0
-
-    @property
-    def max_shard_wall_seconds(self) -> float:
-        return max(p.wall_seconds for p in self.per_shard)
+    def metrics(self) -> dict:
+        """The exchange total and each shard's cost under ``shard.*``
+        names, for display next to the run's metrics map (per-process
+        work, so never part of it)."""
+        metrics = {"shard.exchange_rows": self.exchange_rows}
+        for perf in self.per_shard:
+            metrics.update(
+                (f"shard.{perf.index}.{name}", value)
+                for name, value in vars(perf).items()
+                if name != "index"
+            )
+        return metrics
 
 
 @dataclass
@@ -123,16 +121,14 @@ class ShardOutcome:
     #: merge keys' tiebreak data, derived from the replicated world.
     merge_meta: dict
     company_configs: dict
-    shard_info: ShardRunInfo
-    ledger_stats: LedgerStats
-    fault_stats: FaultStats
-    cache_stats: SubstrateCacheStats
-    crash_stats: CrashStats
-    checkpoint_stats: CheckpointStats
-    memory_stats: MemoryStats
-    events_processed: int
+    #: The worker's manifests and local/remote row counts.
+    exchange: ShardExchange
+    #: The worker's own metrics map, merged by the declared rules.
+    metrics: dict
+    #: Ledger snapshots of the companies this shard owns.
+    ledger_snapshots: tuple
+    restored_from: Optional[str]
     wall_seconds: float
-    seed: int
 
 
 def _run_shard(index: int, n_shards: int, spec: RunSpec) -> ShardOutcome:
@@ -156,16 +152,11 @@ def _run_shard(index: int, n_shards: int, spec: RunSpec) -> ShardOutcome:
         company_configs={
             company.company_id: company.config for company in world.companies
         },
-        shard_info=result.shard_stats,
-        ledger_stats=result.ledger_stats,
-        fault_stats=result.fault_stats,
-        cache_stats=result.cache_stats,
-        crash_stats=result.crash_stats,
-        checkpoint_stats=result.checkpoint_stats,
-        memory_stats=result.memory_stats,
-        events_processed=result.events_processed,
+        exchange=result.exchange,
+        metrics=result.metrics,
+        ledger_snapshots=result.ledger_snapshots,
+        restored_from=result.restored_from,
         wall_seconds=wall,
-        seed=result.seed,
     )
 
 
@@ -241,107 +232,6 @@ def _merge_stores(outcomes: list, spilled: bool) -> LogStore:
     return merged
 
 
-# -- stat aggregation -------------------------------------------------------
-
-
-def _sum_ledgers(outcomes: list) -> LedgerStats:
-    snaps = [outcome.ledger_stats for outcome in outcomes]
-    per_company = sorted(
-        (snapshot for s in snaps for snapshot in s.per_company),
-        key=lambda snapshot: snapshot.company_id,
-    )
-    violations = tuple(v for s in snaps for v in s.violations)
-    return LedgerStats(
-        audit=all(s.audit for s in snaps),
-        accepted=sum(s.accepted for s in snaps),
-        delivered=sum(s.delivered for s in snaps),
-        black_dropped=sum(s.black_dropped for s in snaps),
-        filter_dropped=sum(s.filter_dropped for s in snaps),
-        quarantined_total=sum(s.quarantined_total for s in snaps),
-        released=sum(s.released for s in snaps),
-        deleted=sum(s.deleted for s in snaps),
-        expired=sum(s.expired for s in snaps),
-        pending_at_horizon=sum(s.pending_at_horizon for s in snaps),
-        stranded=sum(s.stranded for s in snaps),
-        leaked_challenge_slots=sum(s.leaked_challenge_slots for s in snaps),
-        per_company=tuple(per_company),
-        violations=violations,
-    )
-
-
-def _sum_faults(outcomes: list) -> FaultStats:
-    stats = [outcome.fault_stats for outcome in outcomes]
-    return FaultStats(
-        enabled=any(s.enabled for s in stats),
-        greylist_deferrals=sum(s.greylist_deferrals for s in stats),
-        storm_rejections=sum(s.storm_rejections for s in stats),
-        outage_failures=sum(s.outage_failures for s in stats),
-        dns_failures=sum(s.dns_failures for s in stats),
-        retries_scheduled=sum(s.retries_scheduled for s in stats),
-        messages_sent=sum(s.messages_sent for s in stats),
-        delivered=sum(s.delivered for s in stats),
-        bounced=sum(s.bounced for s in stats),
-        expired=sum(s.expired for s in stats),
-        drained=sum(s.drained for s in stats),
-    )
-
-
-def _sum_caches(outcomes: list) -> SubstrateCacheStats:
-    stats = [outcome.cache_stats for outcome in outcomes]
-    return SubstrateCacheStats(
-        dns_hits=sum(s.dns_hits for s in stats),
-        dns_misses=sum(s.dns_misses for s in stats),
-        dnsbl_hits=sum(s.dnsbl_hits for s in stats),
-        dnsbl_misses=sum(s.dnsbl_misses for s in stats),
-        route_hits=sum(s.route_hits for s in stats),
-        route_misses=sum(s.route_misses for s in stats),
-    )
-
-
-def _sum_crashes(outcomes: list) -> CrashStats:
-    stats = [outcome.crash_stats for outcome in outcomes]
-    by_component: dict = {}
-    for s in stats:
-        for component, count in s.by_component:
-            by_component[component] = by_component.get(component, 0) + count
-    return CrashStats(
-        enabled=any(s.enabled for s in stats),
-        crashes=sum(s.crashes for s in stats),
-        by_component=tuple(sorted(by_component.items())),
-        inbound_deferred=sum(s.inbound_deferred for s in stats),
-        inbound_refused=sum(s.inbound_refused for s in stats),
-        digests_skipped=sum(s.digests_skipped for s in stats),
-        expiries_skipped=sum(s.expiries_skipped for s in stats),
-        outbound_deferred=sum(s.outbound_deferred for s in stats),
-        redriven=sum(s.redriven for s in stats),
-        lost=sum(s.lost for s in stats),
-        journals_rebuilt=sum(s.journals_rebuilt for s in stats),
-        journal_mismatches=sum(s.journal_mismatches for s in stats),
-    )
-
-
-def _sum_checkpoints(outcomes: list) -> CheckpointStats:
-    stats = [outcome.checkpoint_stats for outcome in outcomes]
-    return CheckpointStats(
-        every=max(s.every for s in stats),
-        written=sum(s.written for s in stats),
-        write_seconds=sum(s.write_seconds for s in stats),
-        last_path=stats[0].last_path,
-        restored_from=stats[0].restored_from,
-        restore_seconds=sum(s.restore_seconds for s in stats),
-    )
-
-
-def _sum_memory(outcomes: list) -> MemoryStats:
-    stats = [outcome.memory_stats for outcome in outcomes]
-    return MemoryStats(
-        max_rss_bytes=max(s.max_rss_bytes for s in stats),
-        store_live_rows=sum(s.store_live_rows for s in stats),
-        store_live_bytes=sum(s.store_live_bytes for s in stats),
-        store_spilled_bytes=sum(s.store_spilled_bytes for s in stats),
-    )
-
-
 # -- the driver -------------------------------------------------------------
 
 
@@ -409,13 +299,22 @@ def run_sharded_simulation(spec: RunSpec) -> SimulationResult:
 
     # Replica-consistency gate: every shard's view of the full exchange
     # stream must agree before any merging happens.
-    manifests = reconcile([o.shard_info.manifests for o in outcomes])
+    manifests = reconcile([o.exchange.manifests for o in outcomes])
 
-    ledger_stats = _sum_ledgers(outcomes)
-    if not ledger_stats.conserved:
+    # Each worker enforced its own companies' ledgers; the sums must
+    # conserve too.
+    metrics = merge(outcome.metrics for outcome in outcomes)
+    ledger = LedgerStats(metrics, tuple(sorted(
+        (s for outcome in outcomes for s in outcome.ledger_snapshots),
+        key=lambda snapshot: snapshot.company_id,
+    )))
+    if not ledger.conserved:
         raise LedgerError(
-            "message-lifecycle conservation violated across shards:\n  "
-            + "\n  ".join(ledger_stats.violations)
+            "message-lifecycle conservation violated across shards: "
+            f"{ledger.accepted} accepted, {ledger.terminal_total} terminal, "
+            f"{ledger.in_quarantine} in quarantine, {ledger.stranded} "
+            f"stranded, {ledger.leaked_challenge_slots} leaked challenge "
+            "slot(s)"
         )
 
     merged = _merge_stores(outcomes, spilled=spec.spill_dir is not None)
@@ -423,7 +322,7 @@ def run_sharded_simulation(spec: RunSpec) -> SimulationResult:
     # whose installations produced ledger snapshots.
     owners: dict = {}
     for outcome in outcomes:
-        for snapshot in outcome.ledger_stats.per_company:
+        for snapshot in outcome.ledger_snapshots:
             owners[snapshot.company_id] = outcome.index
 
     shard_stats = ShardStats(
@@ -434,12 +333,12 @@ def run_sharded_simulation(spec: RunSpec) -> SimulationResult:
         per_shard=tuple(
             ShardPerf(
                 index=outcome.index,
-                companies=len(outcome.ledger_stats.per_company),
+                companies=len(outcome.ledger_snapshots),
                 wall_seconds=outcome.wall_seconds,
-                events_processed=outcome.events_processed,
-                local_rows=outcome.shard_info.local_rows,
-                remote_rows=outcome.shard_info.remote_rows,
-                max_rss_bytes=outcome.memory_stats.max_rss_bytes,
+                events_processed=outcome.metrics["sim.events"],
+                local_rows=outcome.exchange.local_rows,
+                remote_rows=outcome.exchange.remote_rows,
+                max_rss_bytes=outcome.metrics["memory.max_rss_bytes"],
             )
             for outcome in outcomes
         ),
@@ -458,13 +357,9 @@ def run_sharded_simulation(spec: RunSpec) -> SimulationResult:
         info=outcomes[0].info,
         seed=spec.seed,
         wall_seconds=time.perf_counter() - started,
-        cache_stats=_sum_caches(outcomes),
-        fault_stats=_sum_faults(outcomes),
-        ledger_stats=ledger_stats,
-        crash_stats=_sum_crashes(outcomes),
-        checkpoint_stats=_sum_checkpoints(outcomes),
-        memory_stats=_sum_memory(outcomes),
-        events_processed=sum(o.events_processed for o in outcomes),
+        metrics=metrics,
+        ledger_snapshots=ledger.per_company,
+        restored_from=outcomes[0].restored_from,
         shard_stats=shard_stats,
         scenario=resolve_scenario(spec.scenario),
     )

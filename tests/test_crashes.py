@@ -41,12 +41,11 @@ class TestZeroLossUnderCrashes:
         # Completing at all is the first assertion: the continuous
         # auditor raises LedgerError on any violated transition.
         result = run_simulation("tiny", seed=seed, crashes="flaky", audit=True)
-        crash = result.crash_stats
-        assert crash.enabled
-        assert crash.crashes > 0, "flaky preset must actually crash things"
-        assert crash.lost == 0
-        assert crash.journal_mismatches == 0
-        assert crash.clean_recovery
+        metrics = result.metrics
+        assert metrics["crashes.enabled"]
+        assert metrics["crashes.crashes"] > 0, "flaky preset must crash things"
+        assert metrics["crashes.lost"] == 0
+        assert metrics["crashes.journal_mismatches"] == 0
         assert result.ledger_stats.conserved
         assert result.fault_stats.conserved
 
@@ -54,12 +53,12 @@ class TestZeroLossUnderCrashes:
         plain = run_simulation("tiny", seed=7)
         off = run_simulation("tiny", seed=7, crashes="off")
         assert store_digest(off.store) == store_digest(plain.store)
-        assert not off.crash_stats.enabled
-        assert off.crash_stats.crashes == 0
+        assert not off.metrics["crashes.enabled"]
+        assert off.metrics["crashes.crashes"] == 0
 
     def test_crash_records_reach_the_store(self):
         result = run_simulation("tiny", seed=7, crashes="flaky")
-        assert len(result.store.crashes) == result.crash_stats.crashes
+        assert len(result.store.crashes) == result.metrics["crashes.crashes"]
         components = {record.component for record in result.store.crashes}
         assert components <= set(COMPONENTS)
 
@@ -86,7 +85,7 @@ class TestLossyDurability:
             lossy_window=10 * MINUTE,
         )
         result = run_simulation("tiny", seed=7, crashes=settings)
-        assert result.crash_stats.lost > 0
+        assert result.metrics["crashes.lost"] > 0
         assert not result.fault_stats.conserved
 
 

@@ -68,13 +68,13 @@ class TestResumeDeterminism:
         snapshot = checkpointed[seed][which]
         resumed = run_simulation(resume_from=snapshot)
         assert store_digest(resumed.store) == baseline_digests[seed]
-        assert resumed.checkpoint_stats.restored_from == snapshot
-        assert resumed.checkpoint_stats.restore_seconds > 0
+        assert resumed.restored_from == snapshot
+        assert resumed.metrics["checkpoint.restore_seconds"] > 0
 
     def test_resumed_run_reports_crashes(self, checkpointed):
         resumed = run_simulation(resume_from=checkpointed[SEEDS[0]][0])
-        assert resumed.crash_stats.crashes > 0
-        assert resumed.crash_stats.lost == 0
+        assert resumed.metrics["crashes.crashes"] > 0
+        assert resumed.metrics["crashes.lost"] == 0
 
     def test_latest_checkpoint_is_the_newest(self, checkpointed):
         paths = checkpointed[SEEDS[0]]

@@ -123,6 +123,38 @@ def test_audited_sharded_run_conserves():
     assert fault.conserved
 
 
+def test_audit_flag_survives_a_shard_without_companies():
+    """Seven shards over tiny's six companies leave one shard owning
+    none; the merged run still reports that it audited."""
+    result = run_simulation("tiny", seed=7, audit=True, shards=7, shard_jobs=1)
+    assert 0 in [perf.companies for perf in result.shard_stats.per_shard]
+    assert result.ledger_stats.audit is True
+
+
+# -- metrics ≡ unsharded -----------------------------------------------------
+
+#: Per-process work: every shard replays the replicated world and trace,
+#: so substrate-cache traffic, engine events and the RSS peak count that
+#: work once per process (DESIGN.md "Run metrics").
+_PER_PROCESS = ("cache.", "sim.events", "memory.max_rss_bytes")
+
+
+@pytest.mark.parametrize("seed, weather", [
+    (7, {}), (3, {"faults": "stormy"}), (5, {"crashes": "flaky"}),
+])
+def test_sharded_metrics_match_unsharded(seed, weather):
+    """The merged map equals the single-process run's name for name,
+    except the per-process names; a new counter is pinned by default."""
+    def invariant(metrics):
+        return {name: value for name, value in metrics.items()
+                if not name.startswith(_PER_PROCESS)}
+
+    base = run_simulation("tiny", seed=seed, **weather)
+    sharded = run_simulation("tiny", seed=seed, shards=2, shard_jobs=1,
+                             **weather)
+    assert invariant(sharded.metrics) == invariant(base.metrics)
+
+
 # -- spill ≡ in-memory -------------------------------------------------------
 
 
@@ -133,7 +165,7 @@ def test_spilled_store_digest_and_report_match_in_memory(tmp_path):
     spilled = run_simulation(
         "tiny", seed=7, spill_dir=str(tmp_path), spill_chunk_rows=256
     )
-    assert spilled.memory_stats.store_spilled_bytes > 0
+    assert spilled.metrics["memory.store_spilled_bytes"] > 0
     assert store_digest(spilled.store) == store_digest(base.store)
     assert run_all(spilled) == run_all(base)
 
@@ -161,7 +193,7 @@ def test_sharded_checkpoint_restore_roundtrip(tmp_path):
         "tiny", seed=7, shards=2, shard_jobs=1,
         checkpoint_every=3 * DAY, checkpoint_dir=str(root),
     )
-    assert full.checkpoint_stats.written >= 2
+    assert full.metrics["checkpoint.written"] >= 2
     assert (root / "shard-0").is_dir() and (root / "shard-1").is_dir()
     resumed = run_simulation(
         resume_from=str(root), shards=2, shard_jobs=1
