@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-check bench-update experiments reports \
-	stability sweep goldens scenarios frontier serve-smoke clean
+	stability sweep goldens check serve-smoke clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -37,14 +37,11 @@ sweep:
 goldens:
 	$(PYTHON) scripts/update_goldens.py
 
-# Run the full declarative scenario pack (audited) and every verdict.
-scenarios:
-	$(PYTHON) scripts/scenario_smoke.py --preset tiny --seed 7
-
-# Reduced FP/FN frontier (clean row + one attack, every chain) with the
-# non-degeneracy gate; `python -m repro experiment frontier` is the full one.
-frontier:
-	$(PYTHON) scripts/frontier_smoke.py --preset tiny
+# Every declarative check under checks/ (the CI gate): fault weather,
+# the audited ledger, crash recovery, sharding, the scenario pack and the
+# FP/FN frontier. `python -m repro check NAME...` runs a subset.
+check:
+	$(PYTHON) -m repro check
 
 # Live-service chaos gate: boot the real server subprocess, drive open-loop
 # SMTP load, SIGKILL it mid-burst 20 times, and assert zero accepted-message

@@ -226,8 +226,8 @@ def main() -> None:
         "false-negative rates per cell (averaged over seeds 3/5/7). "
         "Machine-checked: every cell must evaluate, and pure CR must beat "
         "the naive-Bayes chain on clean-row false positives. Regenerate "
-        "with `make frontier` (reduced) or "
-        "`repro experiment frontier` (full).\n"
+        "with `repro experiment frontier`; CI gates it with "
+        "`repro check frontier`.\n"
     )
     parts.append("```\n" + report + "\n```\n")
     smoke = ROOT / "serve_smoke_report.json"

@@ -8,10 +8,10 @@ the verdict table. Registered as experiment id ``verdicts``.
 
 Metrics operate purely on the (merged, possibly loaded-from-disk) record
 lists, never on live installations, so verdicts evaluate identically for
-plain, sharded, cached, and persisted runs — and a check *evaluates*
-(pass or fail) even when its metric computation trips: errors are
-captured per check, never raised, so one bad check cannot take down a
-smoke run.
+plain, sharded, cached, and persisted runs; a dotted name reads a run
+counter instead (:func:`resolve_metric`). A check *evaluates* (pass or
+fail) even when its metric trips or is unknown: errors are captured per
+check, never raised, so one bad check cannot take down ``repro check``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Optional
 from repro.analysis.store import LogStore
 from repro.core.spools import Category, ReleaseMechanism
 from repro.net.smtp import FinalStatus
+from repro.util.metrics import GROUPS
 from repro.util.simtime import DAY
 
 OPS = {
@@ -215,17 +216,63 @@ METRICS = {
 }
 
 
+#: Groups of ``result.metrics`` whose read-only view adds derived
+#: properties (``faults.conserved``, ``ledger.terminal_total``).
+_VIEWS = {
+    "cache": "cache_stats",
+    "faults": "fault_stats",
+    "ledger": "ledger_stats",
+}
+
+#: The groups a dotted verdict name may read: the run's metrics map,
+#: a sharded run's ``shard.*`` costs, the store's ``store.<table>`` rows.
+METRIC_GROUPS = frozenset(GROUPS) | {"shard", "store"}
+
+
+def resolve_metric(result, name: str) -> float:
+    """The dotted *name*'s value for *result*, looked up in order in
+    ``result.metrics``, the views' derived properties, a sharded run's
+    ``shard.*`` costs and the store's row counts; ``KeyError`` when no
+    source has it (an unknown name never reads as 0)."""
+    group, _, rest = name.partition(".")
+    if name in result.metrics:
+        return float(result.metrics[name])
+    if group in _VIEWS:
+        view = getattr(result, _VIEWS[group])
+        if isinstance(getattr(type(view), rest, None), property):
+            return float(getattr(view, rest))
+    if group == "shard" and result.shard_stats is not None:
+        shard = result.shard_stats.metrics()
+        if name in shard:
+            return float(shard[name])
+    if group == "store":
+        counts = result.store.summary_counts()
+        if rest in counts:
+            return float(counts[rest])
+    raise KeyError(f"no metric {name!r} in this run")
+
+
+def _observe(result, name: str, check) -> float:
+    if "." in name:
+        return resolve_metric(result, name)
+    return float(METRICS[name](result, check))
+
+
 def evaluate(result, spec) -> ScenarioVerdict:
     """Evaluate every check of *spec* against *result*; never raises."""
     checks = []
     for check in spec.verdicts:
+        value = check.value
         try:
-            metric = METRICS[check.metric]
-            observed = float(metric(result, check))
-            passed = bool(OPS[check.op](observed, check.value))
+            observed = _observe(result, check.metric, check)
+            if isinstance(value, str):
+                value = _observe(result, value, check)
+            passed = bool(OPS[check.op](observed, value))
             error = None
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             observed = float("nan")
+            if isinstance(value, str):
+                value = float("nan")
             passed = False
             error = f"{type(exc).__name__}: {exc}"
         checks.append(
@@ -233,7 +280,7 @@ def evaluate(result, spec) -> ScenarioVerdict:
                 name=check.name,
                 metric=check.metric,
                 op=check.op,
-                value=check.value,
+                value=value,
                 observed=observed,
                 passed=passed,
                 error=error,

@@ -11,6 +11,8 @@ Commands:
   deployment (WAL-durable, backpressured; see DESIGN.md §15);
 * ``sstress`` — open-loop load generator against a running ``serve``;
 * ``scenarios`` — list the declarative attack-scenario pack;
+* ``check`` — run the declarative checks under ``checks/`` (the CI
+  gate; see :mod:`repro.experiments.checks`);
 * ``list`` — list available experiments, scale presets and scenarios.
 
 ``run``, ``experiment``, ``company`` and ``sweep`` all accept
@@ -250,6 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "scenarios", help="list the declarative attack-scenario pack"
     )
+    check_parser = subparsers.add_parser(
+        "check", help="run the declarative checks under checks/"
+    )
+    check_parser.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="check names or .yaml paths; default: every check",
+    )
     subparsers.add_parser("list", help="list experiments and presets")
     return parser
 
@@ -400,8 +409,8 @@ def _load_or_run(args: argparse.Namespace):
 
 def format_run_metrics(result) -> str:
     """A finished run's metrics map, plus a sharded run's per-shard
-    costs, one ``name  value`` line each (``repro run`` and
-    ``scripts/profile_run.py`` print this)."""
+    costs, one ``name  value`` line each (``repro run``, ``repro check``
+    and ``scripts/profile_run.py`` print this)."""
     metrics = dict(result.metrics)
     if result.shard_stats is not None:
         metrics.update(result.shard_stats.metrics())
@@ -629,6 +638,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_sstress(args)
         if args.command == "scenarios":
             return _command_scenarios(args)
+        if args.command == "check":
+            from repro.experiments.checks import run_checks
+
+            return run_checks(args.names)
         if args.command == "list":
             return _command_list(args)
     except ScenarioError as exc:

@@ -24,11 +24,17 @@ A scenario file is a YAML mapping::
         campaign: attack-captcha-farm
         op: ">="
         value: 100
+      - name: ledger-balances
+        metric: ledger.accepted    # dotted: a run counter
+        op: "=="
+        value: ledger.terminal_total   # a string names another one
 
 ``_base`` chains resolve relative to the referencing file and deep-merge
 mapping values (lists and scalars in the child replace the base's); the
 scenario's registry name is its file stem, and files starting with an
-underscore are layering bases, hidden from the registry.
+underscore are layering bases, hidden from the registry. The check files
+of ``repro check`` (``checks/*.yaml``) are scenario files with a few
+more keys, read through :func:`load_file`.
 
 Parsing prefers PyYAML when importable; CI images without it fall back
 to a built-in parser for exactly the restricted subset above (nested
@@ -99,8 +105,17 @@ def load_scenario(
             f"no scenario {name!r}; known scenarios: {known}",
             str(path),
         )
+    return load_file(path)[0]
+
+
+def load_file(path: Path, extra_keys: tuple = ()) -> tuple:
+    """``(spec, extras)`` for the file at *path*: its scenario keys as a
+    :class:`ScenarioSpec` named by the file stem, and whichever of
+    *extra_keys* it sets (a check file's ``run:``, ...), taken out before
+    the scenario keys are validated."""
     data = _load_layered(path, seen=())
-    return _spec_from_dict(path.stem, data, str(path))
+    extras = {key: data.pop(key) for key in extra_keys if key in data}
+    return _spec_from_dict(path.stem, data, str(path)), extras
 
 
 def resolve_scenario(
@@ -228,7 +243,11 @@ def _spec_from_dict(name: str, data: dict, path: str) -> ScenarioSpec:
                 name=str(entry["name"]),
                 metric=str(entry["metric"]),
                 op=str(entry.get("op", ">=")),
-                value=float(entry["value"]),
+                value=(
+                    entry["value"]
+                    if isinstance(entry["value"], str)
+                    else float(entry["value"])
+                ),
                 campaign=entry.get("campaign"),
                 company_id=entry.get("company_id"),
             )
@@ -283,7 +302,7 @@ def _chain_pairs(chain, path: str) -> tuple:
 
 def _validate(spec: ScenarioSpec, path: str) -> None:
     """Fail at load time, not install time, for referential mistakes."""
-    from repro.analysis.verdicts import METRICS
+    from repro.analysis.verdicts import METRIC_GROUPS, METRICS
     from repro.workload.attacks import ATTACK_KINDS
 
     for attack in spec.attacks:
@@ -300,12 +319,16 @@ def _validate(spec: ScenarioSpec, path: str) -> None:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid chain: {exc}", path)
     for check in spec.verdicts:
-        if check.metric not in METRICS:
-            raise ScenarioError(
-                f"verdict {check.name!r} uses unknown metric "
-                f"{check.metric!r}; known: {', '.join(sorted(METRICS))}",
-                path,
-            )
+        named = [check.value] if isinstance(check.value, str) else []
+        for name in [check.metric, *named]:
+            group, dotted, _ = name.partition(".")
+            if not (group in METRIC_GROUPS if dotted else name in METRICS):
+                raise ScenarioError(
+                    f"verdict {check.name!r} uses unknown metric {name!r}; "
+                    f"known: {', '.join(sorted(METRICS))}, or a dotted "
+                    f"name in group {', '.join(sorted(METRIC_GROUPS))}",
+                    path,
+                )
         if check.op not in ("<", "<=", ">", ">=", "==", "!="):
             raise ScenarioError(
                 f"verdict {check.name!r} uses unknown op {check.op!r}",
@@ -326,15 +349,17 @@ def _parse_file(path: Path) -> dict:
 
 
 def _mini_parse(text: str, path: str = "") -> dict:
-    """Fallback parser for the pack's restricted YAML subset.
+    """Fallback parser for the restricted YAML subset of the pack and
+    the check files.
 
     Supports: a top-level mapping; nested flat mappings; lists whose
     items are scalars or flat mappings (``- key: value`` with
     continuation keys two spaces deeper); flow-style scalar lists
-    (``[a, b]``); int/float/bool/null/quoted scalars; full-line ``#``
-    comments. That is the whole grammar the pack files use — anything
-    else should be authored with PyYAML available so the equivalence
-    test can vouch for it.
+    (``[a, b]``) and flat mappings (``{a: 1, b: x}``);
+    int/float/bool/null/quoted scalars; full-line ``#`` comments. That
+    is the whole grammar those files use — anything else should be
+    authored with PyYAML available so the equivalence test can vouch
+    for it.
     """
     lines = []
     for raw in text.splitlines():
@@ -395,7 +420,7 @@ def _parse_list(lines: list, index: int, indent: int, path: str):
     ):
         head = lines[index][1][2:].strip()
         index += 1
-        if ":" not in head:
+        if ":" not in head or head.startswith("{"):
             items.append(_scalar(head))
             continue
         # A mapping item: the head line plus any continuation keys at a
@@ -424,6 +449,14 @@ def _scalar(token: str):
         if not inner:
             return []
         return [_scalar(item.strip()) for item in inner.split(",")]
+    if token.startswith("{") and token.endswith("}"):
+        # Flow-style flat mapping: {a: 1, b: x}. No nesting.
+        pairs = [item.partition(":") for item in token[1:-1].split(",")]
+        return {
+            key.strip(): _scalar(value.strip())
+            for key, _, value in pairs
+            if key.strip()
+        }
     lowered = token.lower()
     if lowered in ("null", "~"):
         return None

@@ -11,7 +11,7 @@ objects, the filter chain — is built from the spec at install time via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,17 @@ class AttackSpec:
 class VerdictCheck:
     """One machine-checked assertion about a finished run.
 
-    ``metric`` names a function in :mod:`repro.analysis.verdicts`;
+    ``metric`` names a function in :mod:`repro.analysis.verdicts` or,
+    dotted, a run counter (``faults.greylist_deferrals``);
     ``campaign``/``company_id`` scope it; the check passes when
-    ``observed <op> value`` holds.
+    ``observed <op> value`` holds. A string ``value`` names another
+    metric (``shard.exchange_rows == store.mta``).
     """
 
     name: str
     metric: str
     op: str = ">="
-    value: float = 0.0
+    value: Union[float, str] = 0.0
     campaign: Optional[str] = None
     company_id: Optional[str] = None
 

@@ -26,6 +26,27 @@ MERGE_RULES: dict[str, Callable] = {
     "crashes.enabled": any,
 }
 
+#: The groups a run's map holds names under.
+GROUPS = (
+    "cache", "checkpoint", "crashes", "faults", "ledger", "memory", "sim",
+)
+
+#: Names that say how a run executed, not what it measured: per-process
+#: work (every shard replays the world and trace) and per-shard,
+#: per-resume snapshots. The rest match at any shard count or snapshot.
+EXECUTION_VARIANT = (
+    "cache.", "checkpoint.", "sim.events", "memory.max_rss_bytes",
+)
+
+
+def execution_invariant(metrics: Mapping) -> dict:
+    """*metrics* without the :data:`EXECUTION_VARIANT` names."""
+    return {
+        name: value
+        for name, value in metrics.items()
+        if not name.startswith(EXECUTION_VARIANT)
+    }
+
 
 def merge(maps: Iterable[Mapping]) -> dict:
     """Combine per-shard metrics maps into the run's one map.

@@ -93,9 +93,10 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_experiment("fig99", tiny_result)
 
-    # frontier is excluded: its renderer is a cross-run sweep (120 tiny
+    # frontier is excluded: its renderer is a cross-run sweep (135 tiny
     # simulations), far too heavy for tier-1 — tests/test_frontier.py
-    # covers its rendering on stubbed runs, CI's frontier-smoke the rest.
+    # covers its rendering on stubbed runs, `repro check frontier` the
+    # rest.
     @pytest.mark.parametrize(
         "exp_id", sorted(set(EXPERIMENTS) - {"frontier"})
     )

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from repro.analysis.verdicts import METRICS, evaluate
+from repro.experiments.checks import check_dir
 from repro.experiments.parallel import (
     ParallelRunner,
     RunCache,
@@ -67,8 +68,12 @@ class TestShippedPack:
         assert all(a is not b for a, b in zip(first, second))
 
     def test_mini_parser_matches_pyyaml_on_every_pack_file(self):
+        """The scenario pack and the check files both load without PyYAML
+        in CI, so the fallback parser must read each one identically."""
         yaml = pytest.importorskip("yaml")
-        for path in sorted(scenario_dir().glob("*.yaml")):
+        checks = list(check_dir().glob("*.yaml"))
+        assert checks, "no check files found"
+        for path in sorted([*scenario_dir().glob("*.yaml"), *checks]):
             text = path.read_text()
             assert _mini_parse(text, str(path)) == yaml.safe_load(text), path
 
@@ -133,6 +138,18 @@ class TestLayering:
             "  - name: x\n    metric: bogus_metric\n    value: 1\n",
         )
         with pytest.raises(ScenarioError, match="bogus_metric"):
+            load_scenario("bad")
+
+    @pytest.mark.parametrize("metric, value, typo", [
+        ("fautls.expired", 1, "fautls"),
+        ("ledger.accepted", "ledgr.terminal_total", "ledgr"),
+    ])
+    def test_dotted_name_needs_a_known_group(
+        self, pack_dir, metric, value, typo
+    ):
+        verdict = f"{{name: x, metric: {metric}, value: {value}}}"
+        _write(pack_dir, "bad.yaml", f"verdicts:\n  - {verdict}\n")
+        with pytest.raises(ScenarioError, match=typo):
             load_scenario("bad")
 
     def test_unknown_filter_field_rejected(self, pack_dir):

@@ -20,6 +20,7 @@ from repro.net.exchange import (
     ShardMap,
     reconcile,
 )
+from repro.util.metrics import execution_invariant
 from repro.util.simtime import DAY
 
 
@@ -133,26 +134,20 @@ def test_audit_flag_survives_a_shard_without_companies():
 
 # -- metrics ≡ unsharded -----------------------------------------------------
 
-#: Per-process work: every shard replays the replicated world and trace,
-#: so substrate-cache traffic, engine events and the RSS peak count that
-#: work once per process (DESIGN.md "Run metrics").
-_PER_PROCESS = ("cache.", "sim.events", "memory.max_rss_bytes")
-
 
 @pytest.mark.parametrize("seed, weather", [
     (7, {}), (3, {"faults": "stormy"}), (5, {"crashes": "flaky"}),
 ])
 def test_sharded_metrics_match_unsharded(seed, weather):
     """The merged map equals the single-process run's name for name,
-    except the per-process names; a new counter is pinned by default."""
-    def invariant(metrics):
-        return {name: value for name, value in metrics.items()
-                if not name.startswith(_PER_PROCESS)}
-
+    except the execution-variant names (DESIGN.md "Run metrics"); a new
+    counter is pinned by default."""
     base = run_simulation("tiny", seed=seed, **weather)
     sharded = run_simulation("tiny", seed=seed, shards=2, shard_jobs=1,
                              **weather)
-    assert invariant(sharded.metrics) == invariant(base.metrics)
+    assert execution_invariant(sharded.metrics) == execution_invariant(
+        base.metrics
+    )
 
 
 # -- spill ≡ in-memory -------------------------------------------------------
