@@ -8,7 +8,13 @@ input the simulator never generates), with three defensive budgets:
   closed, so slowloris cannot pin worker state),
 * a per-connection session budget,
 * a maximum message size enforced *while* reading DATA (an oversized
-  message is drained and refused with 552, not buffered).
+  message, or one with a line longer than the stream limit, is drained
+  and refused with 552, not buffered).
+
+The read deadlines and the session budget are one :class:`_SessionTimer`
+per connection, re-armed at each phase, rather than a timeout wrapped
+around every read: a read whose bytes are already buffered then
+completes without a trip through the event loop.
 
 Envelope addresses are validated with the same
 :func:`repro.net.addresses.is_well_formed` the simulated MTA uses — the
@@ -22,7 +28,7 @@ the record hit the fsynced WAL.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Optional, Set
 
 from repro.net.addresses import is_well_formed
 from repro.net.smtp import Reply
@@ -80,6 +86,8 @@ class SmtpFrontend:
         #: How long DATA waits for the engine's verdict before tempfailing.
         self.reply_deadline = reply_deadline
         self._server: Optional[asyncio.AbstractServer] = None
+        self._sessions: Set[asyncio.Task] = set()
+        self._closing = False
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -88,10 +96,17 @@ class SmtpFrontend:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
+        """Stop listening and cancel every open session (no 421: this is
+        a shutdown, not a timeout; an unanswered DATA is retried)."""
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for task in self._sessions:
+                task.cancel()
+            await asyncio.gather(*self._sessions, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
+            self._closing = False
 
     # -- session ------------------------------------------------------------
 
@@ -101,20 +116,28 @@ class SmtpFrontend:
         stats = self.service.stats
         stats.sessions += 1
         stats.sessions_open += 1
+        task = asyncio.current_task()
+        self._sessions.add(task)
         try:
-            await asyncio.wait_for(
-                self._session(reader, writer), self.session_deadline
-            )
-        except (asyncio.TimeoutError, ConnectionError, asyncio.IncompleteReadError):
-            # Session budget exhausted or the peer vanished; one best-effort
-            # 421 and the socket goes away.
             try:
-                self._reply(writer, Reply.SERVICE_UNAVAILABLE)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
+                await self._session(reader, writer)
+            except (asyncio.TimeoutError, ConnectionError, asyncio.IncompleteReadError):
+                # Session budget exhausted or the peer vanished; one
+                # best-effort 421 and the socket goes away.
+                try:
+                    self._reply(writer, Reply.SERVICE_UNAVAILABLE)
+                    await writer.drain()
+                except (ConnectionError, RuntimeError):
+                    pass
+        except asyncio.CancelledError:
+            # Only close()'s cancel (it may land mid-421) ends quietly: a
+            # handler task that ends cancelled makes asyncio's stream
+            # callback log an error.
+            if not self._closing:
+                raise
         finally:
             stats.sessions_open -= 1
+            self._sessions.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -123,6 +146,24 @@ class SmtpFrontend:
 
     async def _session(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The conversation, bounded by one timer; its expiry surfaces as
+        ``asyncio.TimeoutError``, any other cancellation propagates."""
+        timer = _SessionTimer(self.session_deadline)
+        try:
+            await self._converse(reader, writer, timer)
+        except asyncio.CancelledError:
+            if timer.expired:
+                raise asyncio.TimeoutError from None
+            raise
+        finally:
+            timer.cancel()
+
+    async def _converse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        timer: _SessionTimer,
     ) -> None:
         peer = writer.get_extra_info("peername")
         client_ip = peer[0] if peer else ""
@@ -135,7 +176,8 @@ class SmtpFrontend:
         syntax_errors = 0
 
         while True:
-            line = await self._read_line(reader, self.command_deadline)
+            timer.arm(self.command_deadline)
+            line = await self._read_line(reader)
             if line is None:
                 return  # peer closed or CRLF violation already answered
             if isinstance(line, int):
@@ -197,7 +239,7 @@ class SmtpFrontend:
                     self._reply(writer, Reply.BAD_SEQUENCE)
                 else:
                     code = await self._data(
-                        reader, writer, mail_from, rcpt_to, client_ip
+                        reader, writer, timer, mail_from, rcpt_to, client_ip
                     )
                     self._reply(writer, code)
                     mail_from = rcpt_to = None
@@ -213,10 +255,12 @@ class SmtpFrontend:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
+        timer: _SessionTimer,
         mail_from: str,
         rcpt_to: str,
         client_ip: str,
     ) -> int:
+        timer.arm(self.data_deadline)
         self._reply(writer, Reply.START_MAIL_INPUT)
         await writer.drain()
         size = 0
@@ -224,9 +268,12 @@ class SmtpFrontend:
         in_headers = True
         oversized = False
         while True:
-            raw = await asyncio.wait_for(
-                reader.readuntil(b"\n"), self.data_deadline
-            )
+            try:
+                raw = await reader.readuntil(b"\n")
+            except asyncio.LimitOverrunError as exc:
+                await _skip_line(reader, exc.consumed)
+                oversized = True  # no legal line is this long
+                continue
             if raw == b".\r\n":
                 break
             if raw.startswith(b".."):
@@ -253,25 +300,35 @@ class SmtpFrontend:
         future = self.service.try_submit(record)
         if future is None:
             return Reply.SERVICE_UNAVAILABLE
+        # The reply wait has its own deadline, whose expiry tempfails this
+        # message but not the session, so the session timer falls back to
+        # the budget meanwhile.
+        timer.arm(self.session_deadline)
+        expiry = asyncio.get_running_loop().call_later(
+            self.reply_deadline, _time_out, future
+        )
         try:
-            return await asyncio.wait_for(future, self.reply_deadline)
+            return await future
         except asyncio.TimeoutError:
             # The record may still land (it is queued); the client retries
             # against the at-least-once contract.
             self.service.stats.refused_deadline += 1
             return Reply.SERVICE_UNAVAILABLE
+        finally:
+            expiry.cancel()
 
-    async def _read_line(self, reader: asyncio.StreamReader, deadline: float):
+    async def _read_line(self, reader: asyncio.StreamReader):
         """One CRLF-terminated command line, decoded.
 
         Returns the string without its CRLF, an ``int`` reply code for a
         protocol violation the caller should send (bare LF, overlong
         line), or ``None`` when the connection ended."""
         try:
-            raw = await asyncio.wait_for(reader.readuntil(b"\n"), deadline)
+            raw = await reader.readuntil(b"\n")
         except asyncio.IncompleteReadError:
             return None
-        except asyncio.LimitOverrunError:
+        except asyncio.LimitOverrunError as exc:
+            await _skip_line(reader, exc.consumed)
             return Reply.SYNTAX_ERROR
         if not raw.endswith(b"\r\n"):
             return Reply.SYNTAX_ERROR  # bare LF: CRLF-strict
@@ -287,6 +344,63 @@ class SmtpFrontend:
     ) -> None:
         message = text if text is not None else _TEXT.get(code, "")
         writer.write(f"{code} {message}\r\n".encode("ascii"))
+
+
+class _SessionTimer:
+    """The one deadline of an SMTP session, re-armed at each phase.
+
+    :meth:`arm` bounds the current phase, capped by the session budget
+    fixed at creation. It only stores the new due time unless that is
+    earlier than the pending ``loop.call_at`` handle; a handle that fires
+    early re-schedules itself at the stored time. A handle that fires at
+    or past it marks :attr:`expired` and cancels the session's task, so
+    the session can tell its own timeout from an external cancellation.
+    """
+
+    def __init__(self, budget: float) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._cap = self._due = self._loop.time() + budget
+        self._handle = self._loop.call_at(self._due, self._fire)
+        self.expired = False
+
+    def arm(self, seconds: float) -> None:
+        self._due = min(self._loop.time() + seconds, self._cap)
+        if self._due < self._handle.when():
+            self._handle.cancel()
+            self._handle = self._loop.call_at(self._due, self._fire)
+
+    def cancel(self) -> None:
+        self._handle.cancel()
+
+    def _fire(self) -> None:
+        if self._due > self._handle.when():
+            self._handle = self._loop.call_at(self._due, self._fire)
+        else:
+            self.expired = True
+            self._task.cancel()
+
+
+def _time_out(future: asyncio.Future) -> None:
+    """Fail a reply still pending at its deadline."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Discard a line the stream limit refused, through its LF.
+
+    *consumed* is the refused prefix (``LimitOverrunError.consumed``),
+    which is already buffered. At EOF it stops; the next read sees it."""
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return
 
 
 def _parse_path(argument: str, keyword: str) -> Optional[str]:

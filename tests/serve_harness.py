@@ -5,12 +5,19 @@ that drives its own ``asyncio.run``. A :class:`LiveCrService` binds its
 queue and futures to the loop that first touches them, so services are
 always built *inside* the coroutine under test — :func:`live_stack`
 packages that, plus both frontends, as an async context manager.
+
+:func:`live_stack` also fails the test when the event loop reported an
+error while the stack ran. asyncio only logs an exception that escapes a
+connection handler ("Unhandled exception in client_connected_cb"), so
+without this a session that dies on a bug looks to a test like a client
+that merely got no reply.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
 from typing import Optional, Sequence, Tuple
 
@@ -22,7 +29,14 @@ from repro.serve.web import WebFrontend
 @contextlib.asynccontextmanager
 async def live_stack(tmp_path, **service_kwargs):
     """A recovered, started service with SMTP and web frontends bound to
-    OS-assigned loopback ports. Yields ``(service, smtp, web)``."""
+    OS-assigned loopback ports. Yields ``(service, smtp, web)``.
+
+    Raises ``AssertionError`` on exit if the loop's exception handler
+    fired while the stack was up."""
+    loop = asyncio.get_running_loop()
+    errors: list = []
+    previous_handler = loop.get_exception_handler()
+    loop.set_exception_handler(lambda _loop, context: errors.append(context))
     service_kwargs.setdefault("time_scale", 200.0)
     service_kwargs.setdefault("wal_path", str(tmp_path / "serve.wal"))
     service = LiveCrService(**service_kwargs)
@@ -38,6 +52,17 @@ async def live_stack(tmp_path, **service_kwargs):
         await smtp.close()
         await web.close()
         await service.close()
+        # Python < 3.11 reports a failed handler task only when the task
+        # is collected ("Task exception was never retrieved").
+        gc.collect()
+        loop.set_exception_handler(previous_handler)
+    if errors:
+        raise AssertionError(
+            "event loop reported errors: "
+            + "; ".join(
+                f"{c.get('message')}: {c.get('exception')!r}" for c in errors
+            )
+        )
 
 
 class SmtpClient:

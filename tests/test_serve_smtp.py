@@ -2,13 +2,14 @@
 
 Focus areas: the command state machine, CRLF strictness (the live
 parser's injection surface), shared address validation with the
-simulated MTA, size limits, and the WAL-then-reply ordering visible as
-"every 250 is in the ledger".
+simulated MTA, size limits, the per-phase and session deadlines, and
+the WAL-then-reply ordering visible as "every 250 is in the ledger".
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 from repro.net.addresses import MAX_LOCAL_LENGTH
 from tests.serve_harness import SmtpClient, ehlo_client, live_stack, pick_targets
@@ -191,5 +192,199 @@ def test_every_250_is_durable_before_reply(tmp_path):
                     assert len(records) >= acked
             await client.quit()
             assert acked == 10
+
+    asyncio.run(scenario())
+
+
+def test_overlong_body_line_is_refused_not_fatal(tmp_path):
+    """A DATA line longer than the stream limit is drained to the dot and
+    refused like an oversized message; the session lives on."""
+
+    async def scenario():
+        async with live_stack(tmp_path, preset="tiny") as (service, smtp, _web):
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            for cmd, expect in (
+                (f"MAIL FROM:<{sender}>", 250),
+                (f"RCPT TO:<{users[0]}>", 250),
+                ("DATA", 354),
+            ):
+                assert await client.code(cmd) == expect
+            await client.send_raw(
+                b"Subject: long\r\n\r\n" + b"z" * 20_000 + b"\r\nafter\r\n.\r\n"
+            )
+            assert (await client.readline()).startswith("552 ")
+            assert service.wal.appended_seq == 0  # never journaled
+            assert await client.send_message(sender, users[0]) == 250
+            await client.quit()
+
+    asyncio.run(scenario())
+
+
+def test_overlong_command_line_keeps_replies_in_step(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, smtp, _web):
+            client = await ehlo_client(smtp.port)
+            assert await client.code("NOOP " + "x" * 6_000) == 500
+            assert await client.code("NOOP") == 250
+            await client.quit()
+
+    asyncio.run(scenario())
+
+
+# -- deadlines ------------------------------------------------------------------
+#
+# Sub-second deadlines set on the started frontend; each session reads
+# them when it starts, so they apply to every connection made after.
+
+
+async def _read_until_closed(client: SmtpClient) -> list:
+    """Every reply line the server sends before it closes the socket."""
+    lines = []
+    while True:
+        line = await client.readline()
+        if not line:
+            return lines
+        lines.append(line)
+
+
+def test_stalled_command_phase_gets_421_and_close(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            smtp.command_deadline = 0.2
+            client = await ehlo_client(smtp.port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            lines = await _read_until_closed(client)
+            assert [line[:4] for line in lines] == ["421 "]
+            assert loop.time() - started < 5.0
+            client.close()
+            assert service.stats.sessions_open == 0
+
+    asyncio.run(scenario())
+
+
+def test_stalled_data_body_gets_421(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            smtp.data_deadline = 0.2
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            for cmd, expect in (
+                (f"MAIL FROM:<{sender}>", 250),
+                (f"RCPT TO:<{users[0]}>", 250),
+                ("DATA", 354),
+            ):
+                assert await client.code(cmd) == expect
+            await client.send_raw(b"Subject: stalled\r\n\r\nhalf a body\r\n")
+            lines = await _read_until_closed(client)
+            assert [line[:4] for line in lines] == ["421 "]
+            client.close()
+            assert service.wal.appended_seq == 0
+
+    asyncio.run(scenario())
+
+
+def test_session_budget_caps_a_trickling_client(tmp_path):
+    """Every command arrives well inside the command deadline, yet the
+    session budget still ends the conversation."""
+
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, smtp, _web):
+            smtp.session_deadline = 0.6
+            client = await ehlo_client(smtp.port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            codes = []
+            while not codes or codes[-1] == 250:
+                await asyncio.sleep(0.05)
+                with contextlib.suppress(ConnectionError):
+                    await client.send_raw(b"NOOP\r\n")
+                codes.append(int((await client.readline())[:3]))
+            assert codes[-1] == 421
+            assert len(codes) >= 4  # the trickle was being served
+            assert 0.5 < loop.time() - started < 5.0
+            assert await client.reader.read() == b""
+            client.close()
+
+    asyncio.run(scenario())
+
+
+def test_reply_deadline_tempfails_and_the_session_continues(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path, engine_delay=1.0) as (service, smtp, _web):
+            sender, users = pick_targets(service)
+            client = await ehlo_client(smtp.port)
+            # The first message finds the worker idle; the second waits
+            # behind its simulated engine time and outlives the deadline.
+            assert await client.send_message(sender, users[0]) == 250
+            smtp.reply_deadline = 0.2
+            assert await client.send_message(sender, users[0]) == 421
+            assert service.stats.refused_deadline == 1
+            assert await client.code("NOOP") == 250
+            await client.quit()
+
+    asyncio.run(scenario())
+
+
+def test_server_close_cancels_open_sessions_without_a_timeout_reply(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            client = await ehlo_client(smtp.port)
+            assert service.stats.sessions_open == 1
+            await asyncio.wait_for(smtp.close(), 5.0)
+            assert service.stats.sessions_open == 0
+            # Closed, and not with the 421 a timed-out session gets.
+            assert await client.reader.read() == b""
+            client.close()
+
+    asyncio.run(scenario())
+
+
+def test_tasks_per_connection_do_not_grow_with_messages(tmp_path):
+    """The session's deadlines cost no Task per read: a connection that
+    carries 20 messages creates the same Tasks as one that carries one
+    (the loop's accept and the session handler)."""
+
+    async def exchange(service, port, messages) -> list:
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        sender, users = pick_targets(service)
+        loop.set_task_factory(factory)
+        try:
+            # Plain reads: the harness client's own timeouts would add
+            # client-side Tasks on Python < 3.12.
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            assert (await reader.readline()).startswith(b"220 ")
+            writer.write(b"EHLO harness\r\n")
+            assert (await reader.readline()).startswith(b"250 ")
+            for i in range(messages):
+                writer.write(
+                    f"MAIL FROM:<{sender}>\r\nRCPT TO:<{users[0]}>\r\n"
+                    f"DATA\r\nSubject: {i}\r\n\r\nbody\r\n.\r\n".encode()
+                )
+                replies = [await reader.readline() for _ in range(4)]
+                assert [r[:3] for r in replies] == [b"250", b"250", b"354", b"250"]
+            writer.write(b"QUIT\r\n")
+            assert (await reader.readline()).startswith(b"221 ")
+            writer.close()
+        finally:
+            loop.set_task_factory(None)
+        return created
+
+    async def scenario():
+        async with live_stack(tmp_path) as (service, smtp, _web):
+            one, twenty = [
+                await asyncio.wait_for(exchange(service, smtp.port, n), 60.0)
+                for n in (1, 20)
+            ]
+            assert one == twenty
+            assert twenty.count("SmtpFrontend._handle") == 1
+            assert service.stats.acked == 21
 
     asyncio.run(scenario())
