@@ -14,15 +14,16 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# CI regression gate: re-measure HEAD vs the newest committed entry's
-# recorded baseline commit and fail on a >20% ratio regression.
+# CI throughput gate: perfbench sim-bench pairs of HEAD vs the newest
+# committed entry's baseline commit; fails on a >20% ratio regression or
+# any run whose outputs fail perfbench's checks.
 bench-check:
-	$(PYTHON) scripts/update_bench.py --check
+	$(PYTHON) scripts/bench_gate.py --check
 
-# Refresh the committed bench trajectory for a PR, e.g.:
-#   make bench-update PR=7 BASELINE=<commit> BASELINE_PR=6
+# Write a PR's trajectory entry, e.g.:
+#   make bench-update PR=<n> BASELINE=<commit> BASELINE_PR=<m>
 bench-update:
-	$(PYTHON) scripts/update_bench.py --pr $(PR) \
+	$(PYTHON) scripts/bench_gate.py --write --pr $(PR) \
 		--baseline-commit $(BASELINE) --baseline-pr $(BASELINE_PR)
 
 experiments:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from repro.util.simtime import DAY, HOUR
+from repro.util.slots import slotted
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class ListingInterval(NamedTuple):
     listed_until: float
 
 
-@dataclass(slots=True)
+@slotted
+@dataclass
 class _IpState:
     hits: list[float] = field(default_factory=list)
     listings: int = 0

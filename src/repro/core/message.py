@@ -15,6 +15,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.util.slots import slotted
+
 
 class MessageKind(enum.Enum):
     """Ground-truth nature of a message."""
@@ -83,13 +85,15 @@ def restore_msg_ids(value: int) -> None:
     _next_msg_id = value
 
 
-@dataclass(slots=True)
+@slotted
+@dataclass
 class EmailMessage:
     """One inbound email as seen at a company's MTA-IN.
 
-    ``slots=True`` (rather than a hand-written ``__slots__``) so the
-    trailing default field works: a manually slotted dataclass cannot
-    carry defaults because the class attribute collides with the slot.
+    Slotted by :func:`~repro.util.slots.slotted` (rather than a
+    hand-written ``__slots__``) so the trailing default field works: a
+    manually slotted dataclass cannot carry defaults because the class
+    attribute collides with the slot.
     """
 
     msg_id: int

@@ -1,5 +1,8 @@
 """Unit tests for company configuration and the message model."""
 
+import pickle
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import CompanyConfig, FilterChainSpec, FilterSettings
@@ -88,6 +91,18 @@ class TestMessageModel:
         message = make_message(0.0, "s@x.com", "u@c.com")
         with pytest.raises(AttributeError):
             message.extra = 1  # type: ignore[attr-defined]
+
+    def test_slotted_classes_carry_no_instance_dict(self):
+        """Per-message and per-IP objects are the bulk of a run's memory;
+        a ``__dict__`` on either would move every peak-RSS figure."""
+        from repro.blacklistd.service import _IpState
+
+        message = make_message(0.0, "s@x.com", "u@c.com")
+        for obj in (message, _IpState()):
+            cls = type(obj)
+            assert cls.__slots__ == tuple(f.name for f in fields(cls))
+            assert not hasattr(obj, "__dict__")
+            assert pickle.loads(pickle.dumps(obj)) == obj
 
 
 class TestMsgIdBlockAllocation:
