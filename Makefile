@@ -39,8 +39,10 @@ goldens:
 	$(PYTHON) scripts/update_goldens.py
 
 # Every declarative check under checks/ (the CI gate): fault weather,
-# the audited ledger, crash recovery, sharding, the scenario pack and the
-# FP/FN frontier. `python -m repro check NAME...` runs a subset.
+# the audited ledger, crash recovery, sharding, the scenario pack, the
+# FP/FN frontier and the paper bands at bench seeds 3/7/11
+# (paper-3/7/11, paper-7-only). `python -m repro check NAME...` runs a
+# subset.
 check:
 	$(PYTHON) -m repro check
 
@@ -51,7 +53,7 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py --kills 20 \
 		--artifact serve_smoke_report.json
 
-reports: bench experiments
+reports: experiments
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .hypothesis .cache

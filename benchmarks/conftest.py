@@ -1,11 +1,8 @@
 """Shared benchmark fixtures.
 
-All benchmarks measure the *analysis* stage over one shared full-scale
-deployment run (the ``bench`` preset: the paper's 47 companies / 13 open
-relays over six simulated weeks, several hundred thousand messages). The
-simulation itself runs once per session; each benchmark then times the
-log-analysis that regenerates one paper table or figure, and writes the
-paper-vs-measured report to ``reports/``.
+The benches left here time what ``perfbench/`` does not: the design-choice
+ablations and the parallel runner's fan-out. The paper's own quantities
+are gated as declared bands by ``python -m repro check paper-*``.
 """
 
 from __future__ import annotations
@@ -14,32 +11,17 @@ import pathlib
 
 import pytest
 
-from repro.experiments import run_simulation
-
 REPORTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture(scope="session")
-def bench_result():
-    """The shared full-deployment simulation (47 companies, 42 days)."""
-    return run_simulation("bench", seed=7)
-
-
-@pytest.fixture(scope="session")
 def emit_report():
-    """Write one experiment's rendered report to reports/<exp_id>.txt."""
+    """Write one bench's rendered table to reports/<name>.txt."""
     REPORTS_DIR.mkdir(exist_ok=True)
 
-    def _emit(exp_id: str, text: str) -> None:
-        path = REPORTS_DIR / f"{exp_id}.txt"
+    def _emit(name: str, text: str) -> None:
+        path = REPORTS_DIR / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[report written to {path}]")
 
     return _emit
-
-
-def run_analysis(benchmark, fn, *args):
-    """Benchmark *fn(*args)* with a small fixed round count (the analyses
-    scan hundreds of thousands of records; default calibration would take
-    minutes per bench)."""
-    return benchmark.pedantic(fn, args=args, rounds=3, iterations=1)

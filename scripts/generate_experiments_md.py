@@ -2,16 +2,21 @@
 """Regenerate EXPERIMENTS.md from a fresh benchmark-scale run.
 
 Runs the `bench` preset (the paper's 47-company deployment over six
-simulated weeks), renders every experiment's paper-vs-measured report, and
-assembles EXPERIMENTS.md. Also refreshes the reports/ directory.
+simulated weeks), renders every experiment's paper-vs-measured report,
+judges the paper bands of every check under checks/ that declares the
+same run, and assembles EXPERIMENTS.md. Also refreshes the reports/
+directory. Exits 1 if any band fails (EXPERIMENTS.md is still written).
 """
 
 import json
 import pathlib
 import sys
 
+from repro.analysis import verdicts
 from repro.experiments import run_simulation
-from repro.experiments.registry import CANONICAL_ORDER, EXPERIMENTS
+from repro.experiments.checks import check_dir, load_check
+from repro.experiments.registry import EXPERIMENTS
+from repro.scenarios import scenario_names
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,10 +29,10 @@ simulated deployment at the `bench` scale preset (the paper's 47 companies
 
     python scripts/generate_experiments_md.py
 
-or run the benchmark harness (each bench writes its report to `reports/`
-and asserts the bands)::
+Every compared quantity also has a declared band, judged at the end of
+this file and gated at seeds 3, 7 and 11 by::
 
-    pytest benchmarks/ --benchmark-only
+    python -m repro check paper-3 paper-7 paper-11 paper-7-only
 
 ## How to read the numbers
 
@@ -166,7 +171,7 @@ SECTIONS = [
 ]
 
 
-def main() -> None:
+def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     print(f"Running bench deployment (seed {seed}) ...")
     result = run_simulation("bench", seed=seed)
@@ -264,6 +269,23 @@ def main() -> None:
             f"{latency['p99']} / {latency['max']} ms\n"
             "```\n"
         )
+    # The paper bands of every check that declares this very run.
+    bands = [
+        check.spec
+        for check in map(load_check, scenario_names(check_dir()))
+        if check.run == {"preset": "bench", "seed": seed}
+    ]
+    judged = [verdicts.evaluate(result, spec) for spec in bands]
+    parts.append("## Paper bands\n")
+    parts.append(
+        f"Each compared quantity's declared band (`checks/_paper.yaml` "
+        f"and the seed-{seed} checks; DESIGN.md §18), judged on the run "
+        "above. Values are the statistics' own units, mostly fractions.\n"
+    )
+    for spec, verdict in zip(bands, judged):
+        parts.append(
+            "```\n" + verdicts.render(verdict, spec.description) + "\n```\n"
+        )
     stability = reports_dir / "scale_stability.txt"
     if stability.exists():
         parts.append("## Appendix — scale stability\n")
@@ -275,7 +297,11 @@ def main() -> None:
         parts.append("```\n" + stability.read_text().rstrip() + "\n```\n")
     (ROOT / "EXPERIMENTS.md").write_text("\n".join(parts))
     print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
+    failed = [v.scenario for v in judged if not v.passed]
+    if failed:
+        print(f"paper bands failed: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

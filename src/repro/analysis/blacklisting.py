@@ -51,6 +51,7 @@ class BlacklistingStats:
     volume_bounce_correlation: float
     #: Pearson r between per-server challenge volume and listed days.
     volume_listing_correlation: float
+    horizon_days: float
 
     @property
     def never_listed_share(self) -> float:
@@ -66,12 +67,25 @@ class BlacklistingStats:
             (s.listed_days for s in self.servers), reverse=True
         )[:6]
 
+    @property
+    def top_listed_share(self) -> list[float]:
+        """:attr:`top_listed_days` as shares of the observation window."""
+        return [days / self.horizon_days for days in self.top_listed_days]
+
     def top_senders_listed_days(self, top: int = 3) -> list[float]:
         """Listed days of the top challenge senders (paper: all zero)."""
         ranked = sorted(
             self.servers, key=lambda s: s.challenges_sent, reverse=True
         )
         return [s.listed_days for s in ranked[:top]]
+
+    @property
+    def top_senders_max_listed_share(self) -> float:
+        """Longest listing among the top-3 challenge senders, as a share
+        of the observation window (paper: 0)."""
+        return max(self.top_senders_listed_days(), default=0.0) / (
+            self.horizon_days
+        )
 
 
 def compute(store: LogStore, info: DeploymentInfo) -> BlacklistingStats:
@@ -126,6 +140,7 @@ def compute(store: LogStore, info: DeploymentInfo) -> BlacklistingStats:
         servers=servers,
         volume_bounce_correlation=volume_bounce,
         volume_listing_correlation=volume_listing,
+        horizon_days=info.horizon_days,
     )
 
 

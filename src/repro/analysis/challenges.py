@@ -52,6 +52,12 @@ class ChallengeStats:
         return safe_ratio(self.bounced_nonexistent, undelivered)
 
     @property
+    def blacklisted_share_of_undelivered(self) -> float:
+        return safe_ratio(
+            self.bounced_blacklisted, self.resolved - self.delivered
+        )
+
+    @property
     def never_opened_share(self) -> float:
         return 1.0 - safe_ratio(self.opened, self.delivered)
 
@@ -116,7 +122,7 @@ def build_delivery_table(stats: ChallengeStats) -> ComparisonTable:
     table.add(
         "of undelivered: server blacklisted",
         None,
-        100.0 * stats.bounced_blacklisted / undelivered,
+        100.0 * stats.blacklisted_share_of_undelivered,
         "%",
     )
     table.add(

@@ -18,6 +18,7 @@ run's effective churn days (horizon × volume scale — see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -96,6 +97,26 @@ def compute(store: LogStore, info: DeploymentInfo) -> ChurnStats:
             total_additions / effective_days / max(info.total_users, 1)
         ),
     )
+
+
+@dataclass(frozen=True)
+class DigestExamples:
+    """Fig. 10's contrasted users, as the paper bands read them."""
+
+    examples: Sequence[DigestSeries]
+
+    @property
+    def count(self) -> int:
+        return len(self.examples)
+
+    @property
+    def mean_ratio(self) -> float:
+        """Largest over smallest mean digest size (infinite when the
+        smallest is 0 and the largest is not)."""
+        means = [e.mean for e in self.examples] or [0.0]
+        if min(means) == 0:
+            return math.inf if max(means) else 0.0
+        return max(means) / min(means)
 
 
 def pick_digest_examples(

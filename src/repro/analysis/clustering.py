@@ -85,6 +85,44 @@ class ClusteringStats:
         """Spurious spam deliveries per challenge sent (paper ~1e-4)."""
         return safe_ratio(self.spurious_deliveries, self.challenges_sent)
 
+    @property
+    def solved_cluster_share(self) -> float:
+        return safe_ratio(self.clusters_with_solved, self.n_clusters)
+
+    @property
+    def n_high_similarity(self) -> int:
+        return len(self.high_similarity_clusters)
+
+    @property
+    def n_low_similarity(self) -> int:
+        return len(self.low_similarity_clusters)
+
+    @property
+    def max_high_solve_rate(self) -> float:
+        """Best solve rate of a solving marketing cluster (paper: 97 %);
+        0 when none solves."""
+        return max(
+            (c.solve_rate for c in self.high_similarity_clusters if c.solved),
+            default=0.0,
+        )
+
+    @property
+    def low_avg_bounce_rate(self) -> float:
+        """Mean non-existent bounce rate of botnet clusters (paper: 31 %)."""
+        low = self.low_similarity_clusters
+        return safe_ratio(sum(c.bounce_rate for c in low), len(low))
+
+    @property
+    def low_max_solved(self) -> int:
+        """Most solves in one botnet cluster (paper: 1-2); 0 when none."""
+        return max((c.solved for c in self.low_similarity_clusters), default=0)
+
+    @property
+    def low_avg_solved(self) -> float:
+        """Mean solves per solving botnet cluster (paper: 1-2)."""
+        solving = [c.solved for c in self.low_similarity_clusters if c.solved]
+        return safe_ratio(sum(solving), len(solving))
+
 
 def compute(store: LogStore, info: DeploymentInfo) -> ClusteringStats:
     """Cluster quarantined gray messages by exact subject."""
@@ -160,29 +198,25 @@ def build_table(stats: ClusteringStats, info: DeploymentInfo) -> ComparisonTable
     low = stats.low_similarity_clusters
     table.add("high sender-similarity clusters", None, len(high))
     table.add("low sender-similarity clusters", None, len(low))
-    solving_high = [c for c in high if c.solved > 0]
-    if solving_high:
+    if any(c.solved for c in high):
         table.add(
             "max solve rate in high-similarity clusters",
             97.0,
-            100.0 * max(c.solve_rate for c in solving_high),
+            100.0 * stats.max_high_solve_rate,
             "%",
         )
     if low:
-        avg_bounce = sum(c.bounce_rate for c in low) / len(low)
         table.add(
             "avg non-existent bounce rate, low-similarity clusters",
             31.0,
-            100.0 * avg_bounce,
+            100.0 * stats.low_avg_bounce_rate,
             "%",
         )
-        solving_low = [c for c in low if c.solved > 0]
-        if solving_low:
-            avg_solved = sum(c.solved for c in solving_low) / len(solving_low)
+        if stats.low_max_solved:
             table.add(
                 "avg solved per solving low-similarity cluster (paper: 1-2)",
                 1.5,
-                avg_solved,
+                stats.low_avg_solved,
             )
     table.add(
         "spurious spam deliveries per 10k challenges",

@@ -70,8 +70,19 @@ class DelayStats:
         over_1d = 1.0 - cdf_at(self.combined_cdf, 1 * DAY)
         return self.quarantined_share * over_1d
 
-    def captcha_share_solved_within(self, delay: float) -> float:
-        return cdf_at(self.captcha_cdf, delay)
+    @property
+    def captcha_cdf_at(self) -> dict:
+        """Captcha releases' CDF at each :data:`CDF_PROBES` delay, keyed
+        by its label (``"5m"``, ``"4h"``, ``"3d"``)."""
+        return _at_probes(self.captcha_cdf)
+
+    @property
+    def digest_cdf_at(self) -> dict:
+        return _at_probes(self.digest_cdf)
+
+
+def _at_probes(points: Sequence[CdfPoint]) -> dict:
+    return {format_duration(p): cdf_at(points, p) for p in CDF_PROBES}
 
 
 def compute(store: LogStore) -> DelayStats:
@@ -93,33 +104,31 @@ def compute(store: LogStore) -> DelayStats:
 
 def build_table(stats: DelayStats) -> ComparisonTable:
     table = ComparisonTable("Fig. 7/8 + Sec. 4.2 — delivery delay of inbox mail")
+    captcha = stats.captcha_cdf_at
     table.add(
         "released in < 5 min (captcha releases)",
         30.0,
-        100.0 * cdf_at(stats.captcha_cdf, 5 * MINUTE),
+        100.0 * captcha["5m"],
         "%",
     )
     table.add(
         "released in < 30 min (captcha releases)",
         50.0,
-        100.0 * cdf_at(stats.captcha_cdf, 30 * MINUTE),
+        100.0 * captcha["30m"],
         "%",
     )
     table.add(
         "captcha releases within 4 h",
         None,
-        100.0 * stats.captcha_share_solved_within(4 * HOUR),
+        100.0 * captcha["4h"],
         "%",
     )
     if stats.digest_delays:
+        digest = stats.digest_cdf_at
         table.add(
             "digest releases between 4 h and 3 d",
             None,
-            100.0
-            * (
-                cdf_at(stats.digest_cdf, 3 * DAY)
-                - cdf_at(stats.digest_cdf, 4 * HOUR)
-            ),
+            100.0 * (digest["3d"] - digest["4h"]),
             "%",
         )
     table.add("inbox mail delivered instantly", 94.0, 100.0 * stats.instant_share, "%")
@@ -135,10 +144,8 @@ def build_table(stats: DelayStats) -> ComparisonTable:
 
 def _render_delay_cdf(points: Sequence[CdfPoint], title: str) -> str:
     lines = [title]
-    for probe in CDF_PROBES:
-        lines.append(
-            f"  <= {format_duration(probe):>8}: {100.0 * cdf_at(points, probe):6.2f}%"
-        )
+    for label, share in _at_probes(points).items():
+        lines.append(f"  <= {label:>8}: {100.0 * share:6.2f}%")
     return "\n".join(lines)
 
 
@@ -158,8 +165,3 @@ def render(store: LogStore) -> str:
             )
         )
     return "\n\n".join(parts)
-
-
-def render_probe_labels() -> list[str]:
-    """Human-readable labels for :data:`CDF_PROBES` (used by benches)."""
-    return [format_duration(p) for p in CDF_PROBES]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.analysis.store import LogStore
 from repro.core.spools import ReleaseMechanism
 from repro.util.render import ComparisonTable
+from repro.util.stats import safe_ratio
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,26 @@ class LifecycleFlow:
     released_captcha: float
     released_digest: float
     expired: float
+
+    @property
+    def released_total(self) -> float:
+        return self.released_captcha + self.released_digest
+
+    @property
+    def gray_white_ratio(self) -> float:
+        return safe_ratio(self.gray, self.white)
+
+    @property
+    def conserved(self) -> bool:
+        """Every message is accounted for exactly once at each stage."""
+        return all(
+            abs(total - parts) < 1e-6
+            for total, parts in (
+                (1000.0, self.dropped_at_mta + self.to_dispatcher),
+                (self.to_dispatcher, self.white + self.black + self.gray),
+                (self.gray, self.filter_dropped + self.quarantined),
+            )
+        )
 
 
 #: Figure 1's published per-1000 numbers (blank entries derived from text).
@@ -111,7 +132,7 @@ def build_table(flow: LifecycleFlow) -> ComparisonTable:
     table.add(
         "released to inbox (captcha+digest)",
         PAPER_FLOW["released_total"],
-        flow.released_captcha + flow.released_digest,
+        flow.released_total,
     )
     table.add("expired in quarantine", None, flow.expired)
     return table
@@ -119,15 +140,3 @@ def build_table(flow: LifecycleFlow) -> ComparisonTable:
 
 def render(store: LogStore) -> str:
     return build_table(compute(store)).render()
-
-
-def conservation_check(flow: LifecycleFlow, tolerance: float = 1e-6) -> bool:
-    """Every message is accounted for exactly once at each stage."""
-    stage1 = abs(flow.dropped_at_mta + flow.to_dispatcher - 1000.0) < tolerance
-    stage2 = (
-        abs(flow.white + flow.black + flow.gray - flow.to_dispatcher) < tolerance
-    )
-    stage3 = (
-        abs(flow.filter_dropped + flow.quarantined - flow.gray) < tolerance
-    )
-    return stage1 and stage2 and stage3

@@ -14,6 +14,7 @@ from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import LogStore
 from repro.core.spools import ReleaseMechanism
 from repro.util.render import TextTable
+from repro.util.stats import safe_ratio
 
 #: The paper's Table 1, verbatim.
 PAPER_TABLE1 = {
@@ -58,6 +59,22 @@ class GeneralStats:
     white_per_day: float
     challenges_per_day: float
     analyzed_days: float
+
+    @property
+    def accounted_incoming(self) -> int:
+        """Every spool plus the MTA drops: Table 1's total, recounted."""
+        return self.white + self.black + self.gray + self.dropped_at_mta
+
+    @property
+    def black_white_ratio(self) -> float:
+        return safe_ratio(self.black, self.white)
+
+    @property
+    def dns_rbl_antivirus_ratio(self) -> float:
+        """Reverse-DNS plus RBL drops over antivirus drops."""
+        return safe_ratio(
+            self.dropped_reverse_dns + self.dropped_rbl, self.dropped_antivirus
+        )
 
 
 def compute(store: LogStore, info: DeploymentInfo) -> GeneralStats:

@@ -43,6 +43,11 @@ class MtaBreakdown:
     closed_pass_rate: float
     open_pass_rate: float
 
+    @property
+    def open_closed_pass_ratio(self) -> float:
+        """How many times more often an open relay passes a message on."""
+        return safe_ratio(self.open_pass_rate, self.closed_pass_rate)
+
 
 def compute(store: LogStore) -> MtaBreakdown:
     """Re-measure the MTA drop table from the MTA logs."""

@@ -11,6 +11,7 @@ were actually solved.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,6 +42,21 @@ class SpfStats:
         counter = self.by_fate.get(fate, Counter())
         total = sum(counter.values())
         return safe_ratio(counter.get(SpfResult.FAIL, 0), total)
+
+    @property
+    def fail_shares(self) -> dict:
+        """:meth:`fail_share` of every fate."""
+        return {fate: self.fail_share(fate) for fate in ChallengeFate}
+
+    @property
+    def bad_to_solved_fail_ratio(self) -> float:
+        """How many times harder an SPF-fail drop prunes bad challenges
+        than solved ones (infinite when it prunes no solved one)."""
+        solved = self.fail_share(ChallengeFate.SOLVED)
+        bad = self.bad_challenge_fail_share
+        if solved == 0:
+            return math.inf if bad else 0.0
+        return bad / solved
 
     @property
     def bad_challenge_fail_share(self) -> float:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from repro.analysis.context import DeploymentInfo
 from repro.analysis.store import LogStore
 from repro.util.render import TextTable
-from repro.util.stats import pearson, safe_ratio
+from repro.util.stats import median, pearson, safe_ratio
 
 VARIABLES = ("users", "emails", "white", "reflection", "captcha")
 
@@ -55,6 +55,27 @@ class VariabilityStats:
         if (a, b) in self.correlations:
             return self.correlations[(a, b)]
         return self.correlations[(b, a)]
+
+    @property
+    def companies(self) -> int:
+        return len(self.points)
+
+    @property
+    def reflection_min(self) -> float:
+        return min(p.reflection for p in self.points)
+
+    @property
+    def reflection_median(self) -> float:
+        return median([p.reflection for p in self.points])
+
+    @property
+    def reflection_max(self) -> float:
+        return max(p.reflection for p in self.points)
+
+    @property
+    def white_share_spread(self) -> float:
+        whites = [p.white_share for p in self.points]
+        return max(whites) - min(whites)
 
 
 def compute(store: LogStore, info: DeploymentInfo) -> VariabilityStats:
@@ -125,8 +146,6 @@ def build_range_table(stats: VariabilityStats) -> TextTable:
         headers=["variable", "min", "median", "max", "paper range"],
         title="Fig. 5 — per-company variable ranges",
     )
-    from repro.util.stats import median
-
     paper_ranges = {
         "users": "mostly <500, few >2000",
         "emails": "wide spread",
@@ -215,8 +234,6 @@ def sweep_from_summaries(summaries) -> VariabilitySweep:
 
 
 def build_sweep_table(sweep: VariabilitySweep) -> TextTable:
-    from repro.util.stats import median
-
     table = TextTable(
         headers=["pair", "min r", "median r", "max r", "paper expectation"],
         title=(

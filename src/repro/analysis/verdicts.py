@@ -9,7 +9,8 @@ the verdict table. Registered as experiment id ``verdicts``.
 Metrics operate purely on the (merged, possibly loaded-from-disk) record
 lists, never on live installations, so verdicts evaluate identically for
 plain, sharded, cached, and persisted runs; a dotted name reads a run
-counter instead (:func:`resolve_metric`). A check *evaluates* (pass or
+counter or, under ``paper.``, a quantity of one paper experiment's
+statistics instead (:func:`resolve_metric`). A check *evaluates* (pass or
 fail) even when its metric trips or is unknown: errors are captured per
 check, never raised, so one bad check cannot take down ``repro check``.
 """
@@ -17,9 +18,25 @@ check, never raised, so one bad check cannot take down ``repro check``.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis import (
+    blacklisting,
+    challenges,
+    churn,
+    clustering,
+    delays,
+    discussion,
+    engine_breakdown,
+    flow,
+    general_stats,
+    mta_breakdown,
+    reflection,
+    spf_study,
+    variability,
+)
 from repro.analysis.store import LogStore
 from repro.core.spools import Category, ReleaseMechanism
 from repro.net.smtp import FinalStatus
@@ -224,16 +241,39 @@ _VIEWS = {
     "ledger": "ledger_stats",
 }
 
+#: ``paper.<exp>.<path>``: experiment id -> the statistics its report
+#: renders, computed from a run.
+PAPER_STATS = {
+    "tab_drop": lambda r: mta_breakdown.compute(r.store),
+    "fig1": lambda r: flow.compute(r.store),
+    "fig3": lambda r: engine_breakdown.compute(r.store),
+    "tab1": lambda r: general_stats.compute(r.store, r.info),
+    "fig4a": lambda r: challenges.compute(r.store),
+    "sec31": lambda r: reflection.compute(r.store),
+    "fig5": lambda r: variability.compute(r.store, r.info),
+    "fig6": lambda r: clustering.compute(r.store, r.info),
+    "fig7": lambda r: delays.compute(r.store),
+    "fig9": lambda r: churn.compute(r.store, r.info),
+    "fig10": lambda r: churn.DigestExamples(
+        churn.pick_digest_examples(r.store)
+    ),
+    "fig11": lambda r: blacklisting.compute(r.store, r.info),
+    "fig12": lambda r: spf_study.compute(r.store),
+    "sec6": lambda r: discussion.compute(r.store, r.info),
+}
+
 #: The groups a dotted verdict name may read: the run's metrics map,
-#: a sharded run's ``shard.*`` costs, the store's ``store.<table>`` rows.
-METRIC_GROUPS = frozenset(GROUPS) | {"shard", "store"}
+#: a sharded run's ``shard.*`` costs, the store's ``store.<table>`` rows
+#: and the paper experiments' statistics.
+METRIC_GROUPS = frozenset(GROUPS) | {"shard", "store", "paper"}
 
 
-def resolve_metric(result, name: str) -> float:
+def resolve_metric(result, name: str, paper: Optional[dict] = None) -> float:
     """The dotted *name*'s value for *result*, looked up in order in
     ``result.metrics``, the views' derived properties, a sharded run's
-    ``shard.*`` costs and the store's row counts; ``KeyError`` when no
-    source has it (an unknown name never reads as 0)."""
+    ``shard.*`` costs, the store's row counts and the paper experiments'
+    statistics (each computed once into *paper*, when given); ``KeyError``
+    when no source has it (an unknown name never reads as 0)."""
     group, _, rest = name.partition(".")
     if name in result.metrics:
         return float(result.metrics[name])
@@ -249,24 +289,62 @@ def resolve_metric(result, name: str) -> float:
         counts = result.store.summary_counts()
         if rest in counts:
             return float(counts[rest])
+    exp, _, path = rest.partition(".")
+    if group == "paper" and exp in PAPER_STATS and path:
+        paper = {} if paper is None else paper
+        if exp not in paper:
+            paper[exp] = PAPER_STATS[exp](result)
+        value = paper[exp]
+        try:
+            for part in path.split("."):
+                value = _step(value, part)
+        except LookupError:
+            pass
+        else:
+            return float(value)
     raise KeyError(f"no metric {name!r} in this run")
 
 
-def _observe(result, name: str, check) -> float:
+def _step(value, part: str):
+    """One segment of a ``paper.`` path: a mapping key (an enum key by
+    its value, a pair of names as ``a-b``), a sequence index or a public
+    attribute; ``LookupError`` when *value* has none by that name."""
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            if _key_name(key) == part:
+                return item
+    elif isinstance(value, Sequence) and part.lstrip("-").isdigit():
+        return value[int(part)]
+    elif not part.startswith("_"):
+        try:
+            return getattr(value, part)
+        except AttributeError:
+            pass
+    raise LookupError(part)
+
+
+def _key_name(key) -> str:
+    if isinstance(key, tuple):
+        return "-".join(map(str, key))
+    return str(getattr(key, "value", key))
+
+
+def _observe(result, name: str, check, paper: dict) -> float:
     if "." in name:
-        return resolve_metric(result, name)
+        return resolve_metric(result, name, paper)
     return float(METRICS[name](result, check))
 
 
 def evaluate(result, spec) -> ScenarioVerdict:
     """Evaluate every check of *spec* against *result*; never raises."""
     checks = []
+    paper: dict = {}
     for check in spec.verdicts:
         value = check.value
         try:
-            observed = _observe(result, check.metric, check)
+            observed = _observe(result, check.metric, check, paper)
             if isinstance(value, str):
-                value = _observe(result, value, check)
+                value = _observe(result, value, check, paper)
             passed = bool(OPS[check.op](observed, value))
             error = None
         except Exception as exc:
@@ -304,9 +382,12 @@ def render(verdict: ScenarioVerdict, description: str = "") -> str:
     for check in verdict.checks:
         expected = f"{check.op} {check.value:g}"
         status = "PASS" if check.passed else "FAIL"
+        # Four significant digits for a fraction, which two decimals
+        # would round to 0.00 or 1.00.
+        digits = ".4g" if 0 < abs(check.observed) < 1 else ".2f"
         lines.append(
             f"  {check.name:<28} {check.metric:<28} "
-            f"{check.observed:>10.2f}  {expected:<12} {status}"
+            f"{check.observed:>10{digits}}  {expected:<12} {status}"
         )
         if check.error:
             lines.append(f"    error: {check.error}")

@@ -302,7 +302,7 @@ def _chain_pairs(chain, path: str) -> tuple:
 
 def _validate(spec: ScenarioSpec, path: str) -> None:
     """Fail at load time, not install time, for referential mistakes."""
-    from repro.analysis.verdicts import METRIC_GROUPS, METRICS
+    from repro.analysis.verdicts import METRIC_GROUPS, METRICS, PAPER_STATS
     from repro.workload.attacks import ATTACK_KINDS
 
     for attack in spec.attacks:
@@ -321,7 +321,15 @@ def _validate(spec: ScenarioSpec, path: str) -> None:
     for check in spec.verdicts:
         named = [check.value] if isinstance(check.value, str) else []
         for name in [check.metric, *named]:
-            group, dotted, _ = name.partition(".")
+            group, dotted, rest = name.partition(".")
+            exp, _, field = rest.partition(".")
+            if group == "paper" and not (exp in PAPER_STATS and field):
+                raise ScenarioError(
+                    f"verdict {check.name!r} uses unknown metric {name!r}; "
+                    f"a paper metric is paper.<experiment>.<path> with "
+                    f"experiment one of {', '.join(PAPER_STATS)}",
+                    path,
+                )
             if not (group in METRIC_GROUPS if dotted else name in METRICS):
                 raise ScenarioError(
                     f"verdict {check.name!r} uses unknown metric {name!r}; "

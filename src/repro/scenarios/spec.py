@@ -41,7 +41,8 @@ class VerdictCheck:
     """One machine-checked assertion about a finished run.
 
     ``metric`` names a function in :mod:`repro.analysis.verdicts` or,
-    dotted, a run counter (``faults.greylist_deferrals``);
+    dotted, a run counter (``faults.greylist_deferrals``) or a paper
+    experiment's statistic (``paper.sec31.reflection_cr``);
     ``campaign``/``company_id`` scope it; the check passes when
     ``observed <op> value`` holds. A string ``value`` names another
     metric (``shard.exchange_rows == store.mta``).

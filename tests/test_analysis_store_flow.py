@@ -183,7 +183,7 @@ class TestFlow:
 
     def test_conservation_check(self):
         result = flow.compute(self._store())
-        assert flow.conservation_check(result)
+        assert result.conserved
 
     def test_open_relay_traffic_excluded(self):
         store = self._store()
@@ -202,7 +202,7 @@ class TestFlow:
 class TestFlowOnSimulation:
     def test_conservation_on_real_run(self, tiny_store):
         result = flow.compute(tiny_store)
-        assert flow.conservation_check(result)
+        assert result.conserved
 
     def test_render_smoke(self, tiny_store):
         out = flow.render(tiny_store)

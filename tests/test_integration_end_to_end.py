@@ -33,7 +33,7 @@ class TestConservation:
         assert len(store.mta) >= accepted
 
     def test_flow_conservation(self, small_store):
-        assert flow.conservation_check(flow.compute(small_store))
+        assert flow.compute(small_store).conserved
 
     def test_challenge_outcomes_complete_after_drain(self, small_result):
         store = small_result.store

@@ -143,6 +143,8 @@ class TestLayering:
     @pytest.mark.parametrize("metric, value, typo", [
         ("fautls.expired", 1, "fautls"),
         ("ledger.accepted", "ledgr.terminal_total", "ledgr"),
+        ("paper.no_such_exp.x", 1, "no_such_exp"),
+        ("paper.fig3", 1, "paper.fig3"),
     ])
     def test_dotted_name_needs_a_known_group(
         self, pack_dir, metric, value, typo
