@@ -9,6 +9,12 @@ profiles and optimising one tells you nothing about the other). Next to
 each stage's table it prints the stage's cyclic-collector seconds and
 its gen0/1/2 collection counts.
 
+cProfile sees the main process only. A run that forks a day planner
+(DESIGN.md §19) draws most of its trace there, so the simulation table
+shows the apply half of each planning event (and the time spent waiting
+for the planner), not the drawing; the ``planner:`` line gives the
+planner's own seconds.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile_run.py --preset small --seed 11
@@ -78,6 +84,19 @@ def _print_stats(
     stats.strip_dirs().sort_stats(sort).print_stats(top)
 
 
+def _planner_line(metrics: dict) -> str:
+    if not metrics["planner.days"]:
+        return "planner: in-process (its drawing is in the tables below)"
+    return (
+        f"planner: forked child drew {metrics['planner.days']} days in "
+        f"{metrics['planner.busy_s']:.2f}s (peak RSS "
+        f"{metrics['planner.max_rss_bytes'] / 2**20:.0f} MiB); the main "
+        f"process waited {metrics['planner.wait_s']:.2f}s for it. cProfile "
+        "covers the main process only: the drawing is not in the tables "
+        "below"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     # The run flags of `python -m repro run`, mapped onto the RunSpec.
@@ -116,6 +135,7 @@ def main(argv=None) -> int:
         f"{sum(counts.values())} log records"
     )
     print(format_run_metrics(result))
+    print(_planner_line(result.metrics))
     if result.metrics["checkpoint.written"]:
         from repro.core.recovery import latest_checkpoint, load_checkpoint
 

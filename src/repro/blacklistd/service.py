@@ -229,14 +229,19 @@ class DnsblService:
         for ip in ips:
             state = states_get(ip)
             if state is None:
-                state = states[ip] = _IpState()
-            state.listings += 1
-            if state.listed_from < 0 or state.listed_from > now:
-                state.listed_from = now
-            if until > state.listed_until:
-                state.listed_until = until
+                # A fresh IP (every new bot): what the general path below
+                # computes for a default state, built in one call.
+                states[ip] = _IpState([], 1, now, until)
+                listed_until = until
+            else:
+                state.listings += 1
+                if state.listed_from < 0 or state.listed_from > now:
+                    state.listed_from = now
+                if until > state.listed_until:
+                    state.listed_until = until
+                listed_until = state.listed_until
             cache_pop(ip, None)
-            append(ListingInterval(ip, now, state.listed_until))
+            append(ListingInterval(ip, now, listed_until))
 
     def listed_intervals(self, ip: str) -> list[ListingInterval]:
         return [interval for interval in self.history if interval.ip == ip]

@@ -178,46 +178,70 @@ class MessageBatch:
     order** — the order that fixes message-id allocation and FIFO
     tie-breaks, so a batch-built day is indistinguishable from the old
     one-``make_message``-per-arrival day. Rows are staged as plain tuples
-    (the cheapest per-message operation Python offers) and transposed
-    into columns once, at :meth:`finalize`, where the sort and the
-    permutations all run through C-level primitives.
+    (the cheapest per-message operation Python offers); :meth:`seal`
+    sorts them once, and :meth:`materialize` builds the messages once,
+    with the sort and the permutations running through C-level
+    primitives.
 
     A row is ``(t, env_from, env_to, subject, size, client_ip, kind,
     sender_class, campaign_id, has_virus)`` — exactly
     :class:`EmailMessage`'s field order after ``msg_id``, so
     materialization is a single splat per message. ``handlers`` is the
-    parallel per-row delivery callable.
+    parallel per-row delivery token (the generator stages company
+    indices), ``hints`` the optional per-row ``mta_hint`` set after the
+    seal.
     """
 
-    __slots__ = ("rows", "handlers")
+    __slots__ = ("rows", "handlers", "order", "hints")
 
-    def __init__(self) -> None:
-        self.rows: list = []
-        self.handlers: list = []
+    def __init__(
+        self, rows=None, handlers=None, order=None, hints=None
+    ) -> None:
+        self.rows: list = [] if rows is None else rows
+        self.handlers: list = [] if handlers is None else handlers
+        #: ``order[k]`` is the generation position of sorted row ``k``;
+        #: ``None`` until :meth:`seal` (rows still in generation order).
+        self.order = order
+        self.hints = hints
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def finalize(self) -> tuple:
-        """Allocate ids, sort by arrival time, materialize the messages.
+    def seal(self) -> None:
+        """Stable-sort the staged rows (and handlers) by arrival time.
 
-        Returns ``(times, handlers, messages)`` — parallel columns sorted
-        by time (stable, so same-time rows keep generation order), ready
-        for :meth:`repro.sim.engine.Simulator.schedule_batch`. Ids are
-        assigned by generation position *before* the sort, reproducing
-        per-message allocation exactly.
+        Same-time rows keep generation order; ``order`` remembers each
+        row's generation position, which fixes its message id.
         """
         rows = self.rows
-        n = len(rows)
-        if n == 0:
-            return [], [], []
-        first = allocate_msg_id_block(n)
         ts = [row[0] for row in rows]
-        order = sorted(range(n), key=ts.__getitem__)
+        order = sorted(range(len(rows)), key=ts.__getitem__)
         handlers = self.handlers
-        messages = [EmailMessage(first + i, *rows[i]) for i in order]
-        return (
-            [ts[i] for i in order],
-            [handlers[i] for i in order],
-            messages,
-        )
+        self.rows = [rows[i] for i in order]
+        self.handlers = [handlers[i] for i in order]
+        self.order = order
+
+    def materialize(self, first: int, keep=None) -> tuple:
+        """Build the sealed rows' messages, row ``k`` with id ``first +
+        order[k]`` — the ids per-message allocation in generation order
+        would have given, for an id block starting at *first*.
+
+        Returns ``(times, handlers, messages)``, parallel columns in
+        arrival order ready for
+        :meth:`repro.sim.engine.Simulator.schedule_batch`. *keep*, a list
+        of sorted-row positions, restricts the build to those rows.
+        """
+        rows, order, handlers = self.rows, self.order, self.handlers
+        hints = self.hints
+        if hints is None:
+            hints = [None] * len(rows)
+        if keep is not None:
+            rows = [rows[k] for k in keep]
+            order = [order[k] for k in keep]
+            handlers = [handlers[k] for k in keep]
+            hints = [hints[k] for k in keep]
+        messages = [
+            EmailMessage(first + i, *row, hint)
+            for i, row, hint in zip(order, rows, hints)
+        ]
+        return [row[0] for row in rows], list(handlers), messages

@@ -127,13 +127,15 @@ class MtaIn:
         # message passes (this is the open-relay behaviour from the paper).
         return None
 
-    def precheck_batch(self, messages: list) -> None:
-        """Precompute the DNS-independent MTA verdict for a message batch.
+    def precheck_batch(self, rows: list) -> list:
+        """The DNS-independent MTA verdict of each row of a message batch.
 
-        One linear sweep with every lookup hoisted to a local — the batch
-        equivalent of :meth:`_classify`, minus the resolver step. Sets
-        ``message.mta_hint = (pre_dns_reason, sender_domain,
-        post_dns_reason)`` on every message:
+        *rows* are in :class:`~repro.core.message.MessageBatch` layout
+        (``env_from`` at index 1, ``env_to`` at 2). One linear sweep with
+        every lookup hoisted to a local — the batch equivalent of
+        :meth:`_classify`, minus the resolver step. Returns one
+        ``mta_hint = (pre_dns_reason, sender_domain, post_dns_reason)``
+        per row, for the message built from it:
 
         * ``pre_dns_reason`` — MALFORMED, concluded before DNS would run;
         * ``sender_domain`` — domain to resolve at delivery time (``None``
@@ -166,23 +168,25 @@ class MtaIn:
         no_relay = DropReason.NO_RELAY
         sender_rejected = DropReason.SENDER_REJECTED
         unknown = DropReason.UNKNOWN_RECIPIENT
-        for message in messages:
+        hints = []
+        append = hints.append
+        for row in rows:
             # islower() is an allocation-free C scan; generator traffic is
             # already canonical, so the common case skips the str copy.
-            env_to = message.env_to
+            env_to = row[2]
             if not env_to.islower():
                 env_to = env_to.lower()
             verdict = wf_cache_get(env_to)
             if not (verdict if verdict is not None else wf(env_to)):
-                message.mta_hint = _HINT_MALFORMED
+                append(_HINT_MALFORMED)
                 continue
-            env_from = message.env_from
+            env_from = row[1]
             if env_from:
                 if not env_from.islower():
                     env_from = env_from.lower()
                 verdict = wf_cache_get(env_from)
                 if not (verdict if verdict is not None else wf(env_from)):
-                    message.mta_hint = _HINT_MALFORMED
+                    append(_HINT_MALFORMED)
                     continue
                 pair = split_cache_get(env_from)
                 sender_domain = (
@@ -207,4 +211,5 @@ class MtaIn:
                 post = sender_rejected
             else:
                 post = None
-            message.mta_hint = (None, sender_domain, post)
+            append((None, sender_domain, post))
+        return hints

@@ -34,8 +34,9 @@ from typing import Optional
 from repro._version import __version__
 from repro.util.simtime import DAY
 
-#: On-disk snapshot format; bump on incompatible RunState changes.
-CHECKPOINT_FORMAT = 1
+#: On-disk snapshot format; bump on incompatible RunState changes (2: the
+#: generator routes rows by company index).
+CHECKPOINT_FORMAT = 2
 
 #: Default spacing between snapshots for ``--checkpoint-every`` style knobs.
 DEFAULT_CHECKPOINT_EVERY = 7 * DAY

@@ -234,6 +234,8 @@ def collect_metrics(
         "checkpoint.restore_seconds": restore_seconds,
     })
 
+    metrics.update(flatten("planner", state.generator.planner_metrics()))
+
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is kilobytes on Linux, bytes on macOS.
     if sys.platform != "darwin":
@@ -684,18 +686,30 @@ def _finish_run(
     world = state.world
     scale = state.scale
 
-    # Run the observation window one simulated day at a time — exactly
-    # one long run, by run()'s half-open ``until`` — settling the
-    # collector at each day boundary; then drain in-flight work
-    # (challenge retries, scheduled solves, digest actions): recurring
-    # jobs stop at the horizon, so the queue empties on its own.
-    day_end = (int(simulator.now // DAY) + 1) * DAY
-    while day_end < state.horizon:
-        simulator.run(until=day_end)
-        collector.day_boundary()
-        day_end += DAY
-    simulator.run(until=state.horizon)
-    simulator.run()
+    # A forked planner draws each day ahead of the engine unless the run
+    # itself rules it out: attacks lease IPs at event time between
+    # campaign spawns, a snapshot must hold its own day's generator
+    # state, and a shard worker is already one of the run's processes.
+    attacks = state.scenario is not None and state.scenario.attacks
+    plan_ahead = (
+        not attacks
+        and state.checkpointer is None
+        and state.generator.shard is None
+    )
+    with state.generator.planning_ahead(plan_ahead):
+        # Run the observation window one simulated day at a time —
+        # exactly one long run, by run()'s half-open ``until`` —
+        # settling the collector at each day boundary; then drain
+        # in-flight work (challenge retries, scheduled solves, digest
+        # actions): recurring jobs stop at the horizon, so the queue
+        # empties on its own.
+        day_end = (int(simulator.now // DAY) + 1) * DAY
+        while day_end < state.horizon:
+            simulator.run(until=day_end)
+            collector.day_boundary()
+            day_end += DAY
+        simulator.run(until=state.horizon)
+        simulator.run()
     # Safety net for the end-of-horizon leak: force any message still
     # lacking a terminal status to EXPIRED. After the full drain above
     # this finalizes nothing — it exists so the conservation invariant

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping
 MERGE_RULES: dict[str, Callable] = {
     # A high-water mark: the run's peak is its largest process's.
     "memory.max_rss_bytes": max,
+    "planner.max_rss_bytes": max,
     # Every shard snapshots at the run's one interval.
     "checkpoint.every": max,
     # Each shard reports the run's own flag, so a shard that owns no
@@ -28,14 +29,17 @@ MERGE_RULES: dict[str, Callable] = {
 
 #: The groups a run's map holds names under.
 GROUPS = (
-    "cache", "checkpoint", "crashes", "faults", "ledger", "memory", "sim",
+    "cache", "checkpoint", "crashes", "faults", "ledger", "memory",
+    "planner", "sim",
 )
 
 #: Names that say how a run executed, not what it measured: per-process
-#: work (every shard replays the world and trace) and per-shard,
-#: per-resume snapshots. The rest match at any shard count or snapshot.
+#: work (every shard replays the world and trace), per-shard, per-resume
+#: snapshots, and whether a forked planner drew the trace. The rest match
+#: at any shard count, snapshot or planner.
 EXECUTION_VARIANT = (
     "cache.", "checkpoint.", "sim.events", "memory.max_rss_bytes",
+    "planner.",
 )
 
 

@@ -10,32 +10,34 @@ distributed times.
 
 Messages are built **columnar** (§"Batched data plane" in DESIGN.md): a
 planning event stages one row tuple per message into a
-:class:`~repro.core.message.MessageBatch`, then finalizes the whole day
-at once — id block allocation, a single stable sort by arrival time, bulk
-materialization — and hands the day to the engine as one
-:class:`~repro.sim.events.EventBatch` instead of one heap entry per
-message. Every RNG draw happens in exactly the order the per-message
-path used, stream by stream, so the batched build is bit-identical to
-the old one (the goldens pin this). Size draws are the one reordering:
-they move from "inside each message" to "one vectorized run per
-homogeneous loop", which is invisible because sizes come from their own
-isolated stream and the within-stream order is unchanged.
+:class:`~repro.workload.planner.DayPlan`, sorts the whole day at once
+and precomputes each row's DNS-independent MTA verdict; applying the
+plan allocates the day's id block, materializes the messages in bulk and
+hands the day to the engine as one :class:`~repro.sim.events.EventBatch`
+instead of one heap entry per message. Every RNG draw happens in exactly
+the order the per-message path used, stream by stream, so the batched
+build is bit-identical to the old one (the goldens pin this). Size draws
+are the one reordering: they move from "inside each message" to "one
+vectorized run per homogeneous loop", which is invisible because sizes
+come from their own isolated stream and the within-stream order is
+unchanged.
+
+Drawing (the plan) and applying are separate steps so that a forked
+planner can draw each day one day ahead of the engine
+(:mod:`repro.workload.planner`, DESIGN.md §19).
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect
+from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 from itertools import accumulate
-from typing import Mapping
-
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.engine import CompanyInstallation
 from repro.core.message import (
-    EmailMessage,
-    MessageBatch,
     MessageKind,
     SenderClass,
     allocate_msg_id_block,
@@ -44,8 +46,9 @@ from repro.net.exchange import ShardContext
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStreams, poisson
 from repro.util.simtime import DAY, HOUR, is_weekend
-from repro.workload import naming
+from repro.workload import naming, planner as planning
 from repro.workload.entities import Company, World
+from repro.workload.planner import DayPlan, Planner, PlannerStats, replay
 from repro.workload.sizes import SizeModel
 from repro.workload.spamcampaign import Campaign, CampaignFactory
 
@@ -71,31 +74,34 @@ class TraceGenerator:
         self.calibration = world.calibration
         self.simulator = simulator
         self.installations = dict(installations)
-        #: One bound ``handle_inbound`` per installation, created once —
-        #: attribute access would mint a fresh bound method per message,
-        #: and batch grouping relies on handler identity.
-        self._inbound = {
-            company_id: installation.handle_inbound
-            for company_id, installation in self.installations.items()
+        #: Plans stage each row's company *index*: a plan is pure data, so
+        #: a forked planner's plans name companies the main process can
+        #: look up in its own run.
+        self._company_index = {
+            company.company_id: index
+            for index, company in enumerate(world.companies)
         }
+        self._installation_at = [
+            self.installations.get(company.company_id)
+            for company in world.companies
+        ]
+        #: One bound ``handle_inbound`` per local company index, created
+        #: once (``None`` for another shard's company).
+        self._handlers = [
+            installation.handle_inbound if installation is not None else None
+            for installation in self._installation_at
+        ]
         #: Sharded mode (DESIGN.md §12): *installations* covers only this
         #: shard's companies, but every company's draws are still consumed
-        #: in the replicated order. ``_route`` maps each company to its
-        #: local handler or, for remote companies, to the owning shard's
-        #: index — staged rows carry that routing token instead of a
-        #: callable, and dispatch turns remote rows into exchange-manifest
-        #: entries rather than deliveries.
+        #: in the replicated order, and dispatch turns remote rows into
+        #: exchange-manifest entries rather than deliveries. ``_owners``
+        #: maps each company index to its owning shard.
         self.shard = shard
-        if shard is None:
-            self._route = self._inbound
-        else:
-            self._route = {
-                company.company_id: self._inbound.get(
-                    company.company_id,
-                    shard.shard_map.owner_of(company.company_id),
-                )
+        if shard is not None:
+            self._owners = [
+                shard.shard_map.owner_of(company.company_id)
                 for company in world.companies
-            }
+            ]
         #: False = stage and sort days exactly the same way, but schedule
         #: each message as its own heap entry. Exists so tests can pin
         #: batched ≡ unbatched behaviour; not a production mode.
@@ -120,9 +126,15 @@ class TraceGenerator:
             for company in world.companies
         }
         self.messages_generated = 0
-        # Per-day staging columns, rebound by _plan_day.
+        self._n_days = 0
+        # Per-day staging columns, rebound by _draw_day.
         self._rows: list = []
-        self._handlers: list = []
+        self._companies: list = []
+
+    #: The forked planner feeding this run (``None``: plan in-process).
+    _planner: Optional[Planner] = None
+    #: Fork a planner at the next planning event (see planning_ahead).
+    _plan_ahead = False
 
     # -- public API -------------------------------------------------------
 
@@ -138,6 +150,7 @@ class TraceGenerator:
             self.active_campaigns.append(
                 self.campaign_factory.spawn(self.world, self.simulator.now)
             )
+        self._n_days = n_days
         for day in range(n_days):
             self.simulator.schedule(
                 day * DAY, partial(self._plan_day, day), label=f"plan-day-{day}"
@@ -151,7 +164,58 @@ class TraceGenerator:
             * self.world.scale.campaign_rate_scale
         )
 
+    @contextmanager
+    def planning_ahead(self, enabled: bool):
+        """Within the block, plan the days after the next planning event
+        in a forked :class:`~repro.workload.planner.Planner` — if
+        *enabled* and :func:`~repro.workload.planner.can_fork_planner`
+        allows. The planner is killed and reaped when the block exits,
+        however it exits."""
+        self._plan_ahead = enabled
+        try:
+            yield
+        finally:
+            self._plan_ahead = False
+            if self._planner is not None:
+                self._planner.close()
+
+    def planner_metrics(self) -> dict:
+        """The run's ``planner.*`` counters (all zero when it planned
+        in-process)."""
+        planner = self._planner
+        return asdict(planner.stats if planner is not None else PlannerStats())
+
+    def installation_at(self, index: int) -> CompanyInstallation:
+        """The installation of the company with index *index*."""
+        return self._installation_at[index]
+
     def _plan_day(self, day: int) -> None:
+        """One day's planning event: draw the day (or receive the forked
+        planner's draw of it) and apply it."""
+        planner = self._planner
+        if planner is None:
+            self._dispatch_day(self._draw_day(day), day)
+            if (
+                self._plan_ahead
+                and day + 1 < self._n_days
+                and planning.can_fork_planner()
+            ):
+                self._planner = Planner(self, day + 1, self._n_days)
+            return
+        self._dispatch_day(planner.receive(day), day)
+        if day + 1 == self._n_days:
+            planner.close()
+
+    def _draw_day(self, day: int) -> DayPlan:
+        """Draw one day's traffic: the plan half of a planning event.
+
+        Stages every company's rows in generation order, sorts them by
+        arrival time and precomputes their MTA hints. Drawing mutates the
+        generator's own state, leases IPs and bumps the newsletter
+        counters; every other effect on the run (PTR records, DNSBL
+        listings, mailboxes, scheduled user actions) goes through the
+        methods a forked planner records as its op log.
+        """
         now = self.simulator.now
         self.active_campaigns = [
             c for c in self.active_campaigns if c.end > now
@@ -174,39 +238,59 @@ class TraceGenerator:
         )
         spam_factor = self.calibration.spam_weekend_factor if weekend else 1.0
 
-        batch = MessageBatch()
-        self._rows = batch.rows
-        self._handlers = batch.handlers
+        plan = DayPlan(day)
+        self._rows = plan.rows
+        self._companies = plan.handlers
         for company in self.world.companies:
             installation = self.installations.get(company.company_id)
             self._plan_user_mail(company, installation, day, legit_factor)
             self._plan_spam(company, day, spam_factor)
         self._plan_newsletters(day)
         self._plan_marketing(day)
-        self._dispatch_day(batch, day)
-
-    def _dispatch_day(self, batch: MessageBatch, day: int) -> None:
-        """Finalize the day's staged rows and hand them to the engine."""
-        if self.shard is not None:
-            self._dispatch_day_sharded(batch, day)
-            return
-        times, handlers, messages = batch.finalize()
         self._rows = []
-        self._handlers = []
+        self._companies = []
+        plan.seal()
+        self._precheck(plan)
+        return plan
+
+    def _precheck(self, plan: DayPlan) -> None:
+        """One DNS-independent MTA sweep per local company's rows."""
+        groups: dict = {}
+        groups_get = groups.get
+        for position, company in enumerate(plan.handlers):
+            group = groups_get(company)
+            if group is None:
+                group = groups[company] = []
+            group.append(position)
+        rows = plan.rows
+        hints = [None] * len(rows)
+        for company, positions in groups.items():
+            installation = self._installation_at[company]
+            if installation is None:  # another shard's company
+                continue
+            swept = installation.mta_in.precheck_batch(
+                [rows[position] for position in positions]
+            )
+            for position, hint in zip(positions, swept):
+                hints[position] = hint
+        plan.hints = hints
+
+    def _dispatch_day(self, plan: DayPlan, day: int) -> None:
+        """Apply one day's plan: replay its op log, allocate the day's id
+        block, materialize the messages and hand them to the engine."""
+        replay(self, plan.ops)
+        # Ids are assigned by generation position, and the block covers
+        # *all* companies' rows, so a shard's local ids match the
+        # unsharded run's allocation bit-for-bit.
+        first = allocate_msg_id_block(len(plan.rows))
+        keep = None
+        if self.shard is not None:
+            keep = self._record_epoch(plan, first, day)
+        times, companies, messages = plan.materialize(first, keep)
         if not messages:
             return
         self.messages_generated += len(messages)
-        # One DNS-independent MTA sweep per installation (handler identity
-        # groups messages by company).
-        groups: dict = {}
-        groups_get = groups.get
-        for handler, message in zip(handlers, messages):
-            group = groups_get(handler)
-            if group is None:
-                group = groups[handler] = []
-            group.append(message)
-        for handler, group in groups.items():
-            handler.__self__.mta_in.precheck_batch(group)
+        handlers = list(map(self._handlers.__getitem__, companies))
         if self.batch_delivery:
             self.simulator.schedule_batch(
                 times, handlers, messages, label=f"day-{day}-mail"
@@ -216,73 +300,32 @@ class TraceGenerator:
             for t, handler, message in zip(times, handlers, messages):
                 schedule(t, partial(handler, message))
 
-    def _dispatch_day_sharded(self, batch: MessageBatch, day: int) -> None:
-        """Sharded finalize: replicate the id/sort bookkeeping of
-        :meth:`MessageBatch.finalize` exactly, but materialize only the
-        rows this shard owns. Every row — local or remote — is recorded in
-        the day's exchange-manifest epoch in the same ``(t, msg_id)``
-        order each peer shard computes, so the driver can prove the
-        replicated traces agreed before merging stores."""
-        shard = self.shard
-        exchange = shard.exchange
-        local_index = shard.index
-        rows = batch.rows
-        all_handlers = batch.handlers
-        self._rows = []
-        self._handlers = []
-        n = len(rows)
+    def _record_epoch(self, plan: DayPlan, first: int, day: int) -> list:
+        """Record every row — local or remote — in the day's
+        exchange-manifest epoch in the same ``(t, msg_id)`` order each
+        peer shard computes, so the driver can prove the replicated traces
+        agreed before merging stores. Returns the positions of the rows
+        this shard owns."""
+        exchange = self.shard.exchange
+        local = self.shard.index
+        owners = self._owners
         exchange.open_epoch(day)
-        if n == 0:
-            exchange.close_epoch()
-            return
-        # Ids are assigned by generation position before the sort — the
-        # block covers *all* companies' rows so local ids match the
-        # unsharded run's allocation bit-for-bit.
-        first = allocate_msg_id_block(n)
-        ts = [row[0] for row in rows]
-        order = sorted(range(n), key=ts.__getitem__)
         # Append straight into the epoch's per-owner columns: this loop
         # walks every row of the replicated trace, so even one method
         # call per row is measurable at scale.
         cells = exchange.open_cells
-        local_ts, local_ids = cells[local_index]
-        times: list = []
-        handlers: list = []
-        messages: list = []
-        for i in order:
-            handler = all_handlers[i]
-            t = ts[i]
-            if type(handler) is int:  # remote company: owner shard index
-                cell_ts, cell_ids = cells[handler]
-                cell_ts.append(t)
-                cell_ids.append(first + i)
-            else:
-                local_ts.append(t)
-                local_ids.append(first + i)
-                times.append(t)
-                handlers.append(handler)
-                messages.append(EmailMessage(first + i, *rows[i]))
+        keep = []
+        for position, (row, i, company) in enumerate(
+            zip(plan.rows, plan.order, plan.handlers)
+        ):
+            owner = owners[company]
+            cell_ts, cell_ids = cells[owner]
+            cell_ts.append(row[0])
+            cell_ids.append(first + i)
+            if owner == local:
+                keep.append(position)
         exchange.close_epoch()
-        if not messages:
-            return
-        self.messages_generated += len(messages)
-        groups: dict = {}
-        groups_get = groups.get
-        for handler, message in zip(handlers, messages):
-            group = groups_get(handler)
-            if group is None:
-                group = groups[handler] = []
-            group.append(message)
-        for handler, group in groups.items():
-            handler.__self__.mta_in.precheck_batch(group)
-        if self.batch_delivery:
-            self.simulator.schedule_batch(
-                times, handlers, messages, label=f"day-{day}-mail"
-            )
-        else:
-            schedule = self.simulator.schedule
-            for t, handler, message in zip(times, handlers, messages):
-                schedule(t, partial(handler, message))
+        return keep
 
     # -- legitimate / user-driven traffic ----------------------------------
 
@@ -297,7 +340,7 @@ class TraceGenerator:
         rng = self.rng
         size_model = self.size_model
         volume = self.world.scale.volume_scale
-        handler = self._route[company.company_id]
+        company_index = self._company_index[company.company_id]
         white_rate = (
             cal.white_rate * company.legit_multiplier * volume * legit_factor
         )
@@ -310,7 +353,7 @@ class TraceGenerator:
                 contacts = user.contacts
                 for size in sizes:
                     self._stage_legit(
-                        handler, user, rng.choice(contacts), day, size
+                        company_index, user, rng.choice(contacts), day, size
                     )
 
             black = poisson(rng, black_rate)
@@ -319,13 +362,13 @@ class TraceGenerator:
                 nuisance = user.nuisance_senders
                 for size in sizes:
                     self._stage_nuisance(
-                        handler, user, rng.choice(nuisance), day, size
+                        company_index, user, rng.choice(nuisance), day, size
                     )
 
             dsns = poisson(rng, dsn_rate)
             if dsns:
                 for size in size_model.legit_batch(dsns):
-                    self._stage_dsn(handler, user, day, size)
+                    self._stage_dsn(company_index, user, day, size)
 
             # First-contact inbound mail scales with volume like all other
             # inbound traffic...
@@ -339,7 +382,7 @@ class TraceGenerator:
             if new_contacts:
                 for size in size_model.legit_batch(new_contacts):
                     sender, _ip = self.world.create_new_contact(rng)
-                    self._stage_legit(handler, user, sender, day, size)
+                    self._stage_legit(company_index, user, sender, day, size)
 
             # ...but the purely user-driven churn streams (outbound mail to
             # new addresses, manual imports) run at paper rates so Fig. 9's
@@ -376,7 +419,7 @@ class TraceGenerator:
                     )
 
     def _stage_legit(
-        self, handler, user, sender: str, day: int, size: int
+        self, company_index, user, sender: str, day: int, size: int
     ) -> None:
         rng = self.rng
         t = self._day_time(day, legit=True)
@@ -398,9 +441,9 @@ class TraceGenerator:
             None,
             False,
         ))
-        self._handlers.append(handler)
+        self._companies.append(company_index)
 
-    def _stage_dsn(self, handler, user, day: int, size: int) -> None:
+    def _stage_dsn(self, company_index, user, day: int, size: int) -> None:
         """A bounce of the user's own misaddressed outbound mail: null
         reverse-path, sent by some remote MTA."""
         ext = self.rng.choice(self.world.external_domains)
@@ -417,10 +460,10 @@ class TraceGenerator:
             "dsn",
             False,
         ))
-        self._handlers.append(handler)
+        self._companies.append(company_index)
 
     def _stage_nuisance(
-        self, handler, user, sender: str, day: int, size: int
+        self, company_index, user, sender: str, day: int, size: int
     ) -> None:
         t = self._day_time(day, legit=False)
         client_ip = self.world.client_ip_for_address(sender) or "192.0.2.1"
@@ -436,7 +479,7 @@ class TraceGenerator:
             None,
             False,
         ))
-        self._handlers.append(handler)
+        self._companies.append(company_index)
 
     def _schedule_outbound(
         self, installation, user, rcpt: str, day: int
@@ -473,7 +516,7 @@ class TraceGenerator:
                 # remote subscribers consume the identical draws.
                 if self.rng.random() >= volume:
                     continue
-                handler = self._route[company_id]
+                company_index = self._company_index[company_id]
                 t = self._day_time(day, legit=True)
                 self._rows.append((
                     t,
@@ -487,7 +530,7 @@ class TraceGenerator:
                     source.source_id,
                     False,
                 ))
-                self._handlers.append(handler)
+                self._companies.append(company_index)
 
     def _plan_marketing(self, day: int) -> None:
         """Unsolicited marketing blasts: one fixed long subject per blast,
@@ -503,7 +546,7 @@ class TraceGenerator:
             sender = self.rng.choice(source.senders)
             size = self.size_model.newsletter()
             for company in self.world.companies:
-                handler = self._route[company.company_id]
+                company_index = self._company_index[company.company_id]
                 expected = source.coverage * company.n_users * volume
                 count = poisson(self.rng, expected)
                 targets = self.rng.sample(
@@ -523,7 +566,7 @@ class TraceGenerator:
                         source.source_id,
                         False,
                     ))
-                    self._handlers.append(handler)
+                    self._companies.append(company_index)
 
     # -- spam ---------------------------------------------------------------
 
@@ -566,7 +609,7 @@ class TraceGenerator:
             groups.append(
                 ("relay", poisson(rng, base * cal.relay_spam_factor))
             )
-        handler = self._route[company.company_id]
+        company_index = self._company_index[company.company_id]
 
         random_ = rng.random
         choice = rng.choice
@@ -580,7 +623,7 @@ class TraceGenerator:
         spam_total = self._spam_hour_total
         day_base = day * DAY
         rows_append = self._rows.append
-        handlers_append = self._handlers.append
+        companies_append = self._companies.append
         malformed_frac = cal.spam_malformed_sender_frac
         unresolvable_frac = cal.spam_unresolvable_sender_frac
         rejected_frac = cal.spam_rejected_sender_frac
@@ -659,7 +702,7 @@ class TraceGenerator:
                     campaign.campaign_id,
                     random_() < campaign.virus_prob,
                 ))
-                handlers_append(handler)
+                companies_append(company_index)
 
     # -- shared helpers --------------------------------------------------------
 

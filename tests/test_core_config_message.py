@@ -156,6 +156,13 @@ class TestMessageBatchFinalize:
             MessageKind.LEGIT, SenderClass.REAL, None, False,
         )
 
+    @staticmethod
+    def _finalize(batch):
+        from repro.core.message import allocate_msg_id_block
+
+        batch.seal()
+        return batch.materialize(allocate_msg_id_block(len(batch)))
+
     def test_matches_sequential_make_message(self):
         from repro.core.message import MessageBatch
 
@@ -174,7 +181,7 @@ class TestMessageBatchFinalize:
         for i, t in enumerate(times):
             batch.rows.append(self._row(t, env_from=f"s{i}@x.com"))
             batch.handlers.append(None)
-        out_times, _, messages = batch.finalize()
+        out_times, _, messages = self._finalize(batch)
 
         assert out_times == [m.t for m in expected]
         assert [m.msg_id for m in messages] == [m.msg_id for m in expected]
@@ -188,7 +195,7 @@ class TestMessageBatchFinalize:
         for i in range(4):
             batch.rows.append(self._row(2.0, env_from=f"s{i}@x.com"))
             batch.handlers.append(i)
-        _, handlers, messages = batch.finalize()
+        _, handlers, messages = self._finalize(batch)
         assert handlers == [0, 1, 2, 3]
         assert [m.msg_id for m in messages] == [1, 2, 3, 4]
 
@@ -196,5 +203,5 @@ class TestMessageBatchFinalize:
         from repro.core.message import MessageBatch, snapshot_msg_ids
 
         reset_msg_ids()
-        assert MessageBatch().finalize() == ([], [], [])
+        assert self._finalize(MessageBatch()) == ([], [], [])
         assert snapshot_msg_ids() == 0

@@ -187,9 +187,13 @@ class TestPrecheckBatchEquivalence:
             make_message(0.0, f, t, client_ip="10.2.0.9")
             for f, t in self.ENVELOPES
         ]
-        batched_mta.precheck_batch(batch)
-        for message in batch:
-            assert message.mta_hint is not None
+        hints = batched_mta.precheck_batch(
+            [(m.t, m.env_from, m.env_to) for m in batch]
+        )
+        assert len(hints) == len(batch)
+        for message, hint in zip(batch, hints):
+            assert hint is not None
+            message.mta_hint = hint
 
         for (env_from, env_to), message in zip(self.ENVELOPES, batch):
             self._normalize(message)
@@ -211,7 +215,9 @@ class TestPrecheckBatchEquivalence:
         env = make_micro_env()
         mta = env.installation.mta_in
         message = make_message(0.0, CONTACT, USER_ADDRESS)
-        mta.precheck_batch([message])
+        (message.mta_hint,) = mta.precheck_batch(
+            [(message.t, message.env_from, message.env_to)]
+        )
         pre_dns, sender_domain, post = message.mta_hint
         assert pre_dns is None and post is None
         assert sender_domain == CONTACT_DOMAIN

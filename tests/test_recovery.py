@@ -148,6 +148,13 @@ class _Recorder:
         self.fired.append(tag)
 
 
+def _finalize(batch):
+    from repro.core.message import allocate_msg_id_block
+
+    batch.seal()
+    return batch.materialize(allocate_msg_id_block(len(batch)))
+
+
 class TestBatchedRepresentationPickles:
     """ISSUE 6: slotted/columnar structures must checkpoint and resume
     byte-identically — covered end-to-end by TestResumeDeterminism (whole
@@ -185,9 +192,9 @@ class TestBatchedRepresentationPickles:
         clone = pickle.loads(pickle.dumps(batch))
 
         mark = snapshot_msg_ids()
-        times_a, handlers_a, messages_a = batch.finalize()
+        times_a, handlers_a, messages_a = _finalize(batch)
         restore_msg_ids(mark)
-        times_b, handlers_b, messages_b = clone.finalize()
+        times_b, handlers_b, messages_b = _finalize(clone)
         assert times_a == times_b == [1.0, 3.0, 5.0, 5.0]
         assert messages_a == messages_b  # same ids, same stable tie order
         assert len(handlers_b) == 4

@@ -235,16 +235,38 @@ def test_run_until_pauses_and_resumes_mid_batch(seed):
     assert sim.pending == 0
 
 
-@pytest.mark.parametrize(
-    "preset,seed", [("tiny", 3), ("tiny", 7), ("small", 11)]
-)
-def test_full_simulation_digest_batched_vs_unbatched(preset, seed):
+@pytest.mark.parametrize("preset,seed,weather", [
+    pytest.param("tiny", 3, {}, id="tiny-3"),
+    pytest.param("tiny", 7, {}, id="tiny-7"),
+    pytest.param("small", 11, {}, id="small-11"),
+    pytest.param("tiny", 7, {"faults": "stormy"}, id="tiny-7-faults"),
+    pytest.param("tiny", 7, {"crashes": "flaky"}, id="tiny-7-crashes"),
+])
+def test_full_simulation_digest_batched_vs_unbatched(
+    preset, seed, weather, monkeypatch
+):
     """End-to-end oracle for the whole batched data plane: columnar
     generation + schedule_batch delivery must leave a store byte-identical
-    to per-message scheduling (same draws, ids, and tie-breaks)."""
+    to per-message scheduling (same draws, ids, and tie-breaks) — and a
+    trace drawn ahead by the forked day planner must leave the store and
+    the execution-invariant metrics of a trace planned in-process."""
     from repro.experiments import run_simulation
     from repro.experiments.parallel import store_digest
+    from repro.util.metrics import execution_invariant
+    from repro.workload import planner
 
-    batched = run_simulation(preset, seed=seed, batch_delivery=True)
-    unbatched = run_simulation(preset, seed=seed, batch_delivery=False)
+    pipelined = planner.can_fork_planner()
+    batched = run_simulation(preset, seed=seed, batch_delivery=True, **weather)
+    unbatched = run_simulation(
+        preset, seed=seed, batch_delivery=False, **weather
+    )
     assert store_digest(batched.store) == store_digest(unbatched.store)
+
+    monkeypatch.setattr(planner, "can_fork_planner", lambda: False)
+    in_process = run_simulation(preset, seed=seed, **weather)
+    assert in_process.metrics["planner.days"] == 0
+    assert (batched.metrics["planner.days"] > 0) == pipelined
+    assert store_digest(in_process.store) == store_digest(batched.store)
+    assert execution_invariant(in_process.metrics) == execution_invariant(
+        batched.metrics
+    )
