@@ -38,14 +38,21 @@ class ListingPolicy:
 class ListingInterval(NamedTuple):
     """One contiguous period during which an IP was listed.
 
-    A ``NamedTuple`` rather than a dataclass: tens of thousands are
-    appended to ``history`` when campaigns seed pre-listed botnets, and
-    tuple construction is several times cheaper while keeping the
-    ``.ip``/``.listed_at``/``.listed_until`` attribute access consumers
-    rely on.
+    A ``NamedTuple`` rather than a dataclass: cheap to build, while
+    keeping the ``.ip``/``.listed_at``/``.listed_until`` attribute access
+    consumers rely on.
     """
 
     ip: str
+    listed_at: float
+    listed_until: float
+
+
+class _PreListing(NamedTuple):
+    """One bulk pre-listing of fresh IPs in the listing log: stands for
+    one :class:`ListingInterval` per IP, in *ips* order."""
+
+    ips: tuple
     listed_at: float
     listed_until: float
 
@@ -75,53 +82,54 @@ class DnsblService:
     ``listing_lag`` seconds later, and stays visible ``delisting_lag``
     seconds past its policy expiry. Both default to zero, which reproduces
     the instantaneous behaviour bit-for-bit.
+
+    Pre-listings are lazy (DESIGN.md §5): campaigns seed hundreds of
+    thousands of fresh bot IPs, and only the RBL filter ever reads them.
+    A bulk :meth:`force_list_many` of fresh IPs records each IP in
+    ``_pending`` (IP -> one shared ``(listed_from, listed_until)`` pair)
+    and the batch as one :class:`_PreListing` in the listing log; the
+    IP's :class:`_IpState` is built when something first touches it
+    (:meth:`is_listed` cache miss, :meth:`record_trap_hit`,
+    :meth:`force_list`/:meth:`force_list_many`). Every answer,
+    :attr:`history` and :meth:`listed_intervals` are those of building
+    every state eagerly.
     """
 
     #: Class-wide switch so tests can compare cached vs uncached runs.
     CACHE_ENABLED = True
 
-    #: Marker for the columnar pickle form of ``_state``/``history``
-    #: (tens of thousands of tiny objects per service otherwise dominate
-    #: simulation-checkpoint writes).
-    _PACKED = "dnsbl-packed-v1"
-
     def __getstate__(self) -> dict:
+        # ``_state`` pickles as columns (tens of thousands of tiny objects
+        # per service otherwise dominate simulation-checkpoint writes);
+        # ``_pending`` as it is: its values are one shared pair per batch,
+        # which pickle writes once.
         state = self.__dict__.copy()
         ip_state = state["_state"]
         state["_state"] = (
-            self._PACKED,
             tuple(ip_state.keys()),
             tuple(tuple(s.hits) for s in ip_state.values()),
             tuple(s.listings for s in ip_state.values()),
             tuple(s.listed_from for s in ip_state.values()),
             tuple(s.listed_until for s in ip_state.values()),
         )
-        history = state["history"]
-        state["history"] = (
-            self._PACKED,
-            tuple(i.ip for i in history),
-            tuple(i.listed_at for i in history),
-            tuple(i.listed_until for i in history),
-        )
+        # Plain tuples, told apart on load by their first field: a
+        # batch's is a tuple of IPs, an interval's one IP.
+        state["_log"] = tuple(map(tuple, state["_log"]))
         return state
 
     def __setstate__(self, state: dict) -> None:
-        packed = state["_state"]
-        if isinstance(packed, tuple) and packed[0] == self._PACKED:
-            _, ips, hits, listings, listed_from, listed_until = packed
-            state["_state"] = {
-                ip: _IpState(list(h), n, f, u)
-                for ip, h, n, f, u in zip(
-                    ips, hits, listings, listed_from, listed_until
-                )
-            }
-        packed = state["history"]
-        if isinstance(packed, tuple) and packed[0] == self._PACKED:
-            _, ips, listed_at, listed_until = packed
-            state["history"] = [
-                ListingInterval(ip, a, u)
-                for ip, a, u in zip(ips, listed_at, listed_until)
-            ]
+        ips, hits, listings, listed_from, listed_until = state["_state"]
+        state["_state"] = {
+            ip: _IpState(list(h), n, f, u)
+            for ip, h, n, f, u in zip(
+                ips, hits, listings, listed_from, listed_until
+            )
+        }
+        state["_log"] = [
+            _PreListing(*entry) if type(entry[0]) is tuple
+            else ListingInterval(*entry)
+            for entry in state["_log"]
+        ]
         self.__dict__.update(state)
 
     def __init__(
@@ -137,17 +145,49 @@ class DnsblService:
         self.listing_lag = float(listing_lag)
         self.delisting_lag = float(delisting_lag)
         self._state: dict[str, _IpState] = {}
+        #: Pre-listed IPs whose state is not built yet: ip ->
+        #: ``(listed_from, listed_until)`` of a state with no hits and one
+        #: listing.
+        self._pending: dict[str, tuple[float, float]] = {}
         #: ip -> (answer, valid_until); stable "not listed" answers carry
         #: ``inf`` (they only flip via a listing event, which pops them).
         self._answer_cache: dict[str, tuple[bool, float]] = {}
-        self.history: list[ListingInterval] = []
+        #: Every listing in order: a :class:`ListingInterval` or one
+        #: :class:`_PreListing` batch (see :attr:`history`).
+        self._log: list = []
         self.queries = 0
         self.cache_hits = 0
         self.cache_misses = 0
 
+    @property
+    def history(self) -> list[ListingInterval]:
+        """Every listing interval, in the order the listings happened (a
+        new list each call: the log behind it is append-only)."""
+        history = []
+        for entry in self._log:
+            if type(entry) is _PreListing:
+                ips, listed_at, listed_until = entry
+                history.extend(
+                    ListingInterval(ip, listed_at, listed_until) for ip in ips
+                )
+            else:
+                history.append(entry)
+        return history
+
+    def _state_of(self, ip: str) -> Optional[_IpState]:
+        """*ip*'s state, built now if it is a pending pre-listing."""
+        state = self._state.get(ip)
+        if state is None:
+            pending = self._pending.pop(ip, None)
+            if pending is not None:
+                state = self._state[ip] = _IpState([], 1, *pending)
+        return state
+
     def record_trap_hit(self, ip: str, now: float) -> None:
         """Register that *ip* delivered mail to one of our trap addresses."""
-        state = self._state.setdefault(ip, _IpState())
+        state = self._state_of(ip)
+        if state is None:
+            state = self._state[ip] = _IpState()
         state.hits.append(now)
         # Trim hits that fell out of the sliding window.
         cutoff = now - self.policy.window
@@ -168,7 +208,7 @@ class DnsblService:
         state.listed_until = visible_from + duration + self.delisting_lag
         state.hits.clear()
         self._answer_cache.pop(ip, None)
-        self.history.append(ListingInterval(ip, visible_from, state.listed_until))
+        self._log.append(ListingInterval(ip, visible_from, state.listed_until))
 
     def _answer(self, state: Optional[_IpState], now: float) -> tuple[bool, float]:
         """``(listed, valid_until)`` for one IP's state at *now*."""
@@ -184,13 +224,13 @@ class DnsblService:
         """DNSBL query: is *ip* currently listed?"""
         self.queries += 1
         if not DnsblService.CACHE_ENABLED:
-            return self._answer(self._state.get(ip), now)[0]
+            return self._answer(self._state_of(ip), now)[0]
         cached = self._answer_cache.get(ip)
         if cached is not None and now < cached[1]:
             self.cache_hits += 1
             return cached[0]
         self.cache_misses += 1
-        answer = self._answer(self._state.get(ip), now)
+        answer = self._answer(self._state_of(ip), now)
         self._answer_cache[ip] = answer
         return answer[0]
 
@@ -200,9 +240,7 @@ class DnsblService:
         Takes effect immediately — no listing lag; these stand in for
         listings that predate the observation window.
         """
-        # get-then-create instead of setdefault: this runs ~3x per botnet
-        # member, and setdefault would build a throwaway _IpState per call.
-        state = self._state.get(ip)
+        state = self._state_of(ip)
         if state is None:
             state = self._state[ip] = _IpState()
         state.listings += 1
@@ -210,41 +248,44 @@ class DnsblService:
             state.listed_from = now
         state.listed_until = max(state.listed_until, now + duration)
         self._answer_cache.pop(ip, None)
-        self.history.append(ListingInterval(ip, now, state.listed_until))
+        self._log.append(ListingInterval(ip, now, state.listed_until))
 
     def force_list_many(self, ips: list, now: float, duration: float) -> None:
         """Bulk :meth:`force_list` — one call per campaign per service
         instead of one per botnet member.
 
-        State-identical to calling ``force_list`` on each IP in order
-        (``force_list`` reads nothing it writes between calls); exists
-        because seeding pre-listed botnets is the single hottest consumer
-        of this module and the per-call body can hoist every lookup.
+        Equivalent to calling ``force_list`` on each IP in order. When
+        every IP is fresh (no state, not pending, no cached answer) and
+        appears once, which is how campaigns seed their botnets, the
+        batch is recorded with C-level dict operations and no per-IP
+        object; otherwise each IP takes the ``force_list`` path.
         """
-        states = self._state
-        states_get = states.get
-        cache_pop = self._answer_cache.pop
-        append = self.history.append
         until = now + duration
+        span = (now, until)
+        fresh = dict.fromkeys(ips, span)
+        if (
+            len(fresh) == len(ips)
+            and self._state.keys().isdisjoint(fresh)
+            and self._pending.keys().isdisjoint(fresh)
+            and self._answer_cache.keys().isdisjoint(fresh)
+        ):
+            self._pending.update(fresh)
+            self._log.append(_PreListing(tuple(ips), now, until))
+            return
         for ip in ips:
-            state = states_get(ip)
-            if state is None:
-                # A fresh IP (every new bot): what the general path below
-                # computes for a default state, built in one call.
-                states[ip] = _IpState([], 1, now, until)
-                listed_until = until
-            else:
-                state.listings += 1
-                if state.listed_from < 0 or state.listed_from > now:
-                    state.listed_from = now
-                if until > state.listed_until:
-                    state.listed_until = until
-                listed_until = state.listed_until
-            cache_pop(ip, None)
-            append(ListingInterval(ip, now, listed_until))
+            self.force_list(ip, now, duration)
 
     def listed_intervals(self, ip: str) -> list[ListingInterval]:
-        return [interval for interval in self.history if interval.ip == ip]
+        intervals = []
+        for entry in self._log:
+            if type(entry) is _PreListing:
+                if ip in entry.ips:
+                    intervals.append(
+                        ListingInterval(ip, entry.listed_at, entry.listed_until)
+                    )
+            elif entry.ip == ip:
+                intervals.append(entry)
+        return intervals
 
     def total_listed_time(self, ip: str, horizon: float) -> float:
         """Total seconds *ip* spent listed within ``[0, horizon]``.

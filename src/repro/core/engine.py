@@ -44,7 +44,7 @@ from repro.core.filters.reputation import SenderReputationFilter
 from repro.core.filters.reverse_dns import ReverseDnsFilter
 from repro.core.filters.spf import SpfEvaluator, SpfFilter, SpfResult
 from repro.core.ledger import MessageLedger
-from repro.core.message import EmailMessage
+from repro.core.message import DoorRow, EmailMessage
 from repro.core.mta_in import MtaIn
 from repro.core.spools import Category, GrayEntry, GraySpool, ReleaseMechanism
 from repro.core.whitelist import WhitelistDirectory, WhitelistSource
@@ -253,9 +253,7 @@ class CompanyInstallation:
         msg_id = message.msg_id
         size = message.size
         drop_reason = self.mta_in.check(message)
-        self.store.add_mta(
-            MtaRecord(company_id, now, msg_id, drop_reason, open_relay, size)
-        )
+        self._record_mta(now, msg_id, drop_reason, size)
         if drop_reason is not None:
             return drop_reason
 
@@ -300,6 +298,23 @@ class CompanyInstallation:
         if decision.challenge_created and challenge is not None:
             self._send_challenge(challenge)
         return None
+
+    def refuse_at_door(self, row: DoorRow) -> None:
+        """Refuse one generated message MTA-IN refuses whatever DNS says,
+        from the :class:`DoorRow` the generator's door passes instead of
+        the message (DESIGN.md §19): at this time, exactly what
+        :meth:`handle_inbound` does for it without a crash plan."""
+        self._record_mta(
+            self.simulator.now, row.msg_id, self.mta_in.check(row), row.size
+        )
+
+    def _record_mta(self, now: float, msg_id: int, reason, size: int) -> None:
+        config = self.config
+        self.store.add_mta(
+            MtaRecord(
+                config.company_id, now, msg_id, reason, config.open_relay, size
+            )
+        )
 
     # -- challenge path ---------------------------------------------------
 

@@ -38,6 +38,10 @@ class SenderClass(enum.Enum):
     (§3.2 of the paper).
     """
 
+    # Identity hash, as MessageKind: members key each campaign's sender
+    # pools and the analysis index's Counters.
+    __hash__ = object.__hash__
+
     REAL = "real"  # the address belongs to the actual sender
     NONEXISTENT_MAILBOX = "nonexistent"  # valid domain, no such user
     DEAD_DOMAIN = "dead_domain"  # resolvable domain, unreachable server
@@ -113,6 +117,21 @@ class EmailMessage:
     #: DNS-independent part of the MTA verdict — resolution stays a
     #: delivery-time check because fault plans make it time-dependent.
     mta_hint: Optional[tuple] = None
+
+
+class DoorRow:
+    """What MTA-IN reads of a generated message its precheck hint refuses
+    whatever DNS says: built by :meth:`MessageBatch.materialize` at the
+    door (DESIGN.md §19) instead of the :class:`EmailMessage`, and
+    refused by :meth:`repro.core.engine.CompanyInstallation.refuse_at_door`.
+    """
+
+    __slots__ = ("msg_id", "size", "mta_hint")
+
+    def __init__(self, msg_id: int, size: int, mta_hint: tuple) -> None:
+        self.msg_id = msg_id
+        self.size = size
+        self.mta_hint = mta_hint
 
 
 def normalize_ingress(message: EmailMessage) -> EmailMessage:
@@ -221,7 +240,7 @@ class MessageBatch:
         self.handlers = [handlers[i] for i in order]
         self.order = order
 
-    def materialize(self, first: int, keep=None) -> tuple:
+    def materialize(self, first: int, keep=None, doors=None) -> tuple:
         """Build the sealed rows' messages, row ``k`` with id ``first +
         order[k]`` — the ids per-message allocation in generation order
         would have given, for an id block starting at *first*.
@@ -230,6 +249,13 @@ class MessageBatch:
         arrival order ready for
         :meth:`repro.sim.engine.Simulator.schedule_batch`. *keep*, a list
         of sorted-row positions, restricts the build to those rows.
+
+        *doors*, indexed by handler token, lets refused rows skip the
+        build: where ``doors[handler]`` is not ``None`` and the row's hint
+        refuses it whatever DNS says (a pre-DNS or a post-DNS reason),
+        the row's handler is ``doors[handler]`` and its message slot
+        holds a :class:`DoorRow`. ``None`` (no company has a door) builds
+        every message.
         """
         rows, order, handlers = self.rows, self.order, self.handlers
         hints = self.hints
@@ -240,8 +266,23 @@ class MessageBatch:
             order = [order[k] for k in keep]
             handlers = [handlers[k] for k in keep]
             hints = [hints[k] for k in keep]
-        messages = [
-            EmailMessage(first + i, *row, hint)
-            for i, row, hint in zip(order, rows, hints)
-        ]
-        return [row[0] for row in rows], list(handlers), messages
+        times = [row[0] for row in rows]
+        if doors is None:
+            messages = [
+                EmailMessage(first + i, *row, hint)
+                for i, row, hint in zip(order, rows, hints)
+            ]
+            return times, list(handlers), messages
+        handlers = list(handlers)
+        messages = []
+        append = messages.append
+        for k, (i, row, hint) in enumerate(zip(order, rows, hints)):
+            door = doors[handlers[k]]
+            if door is not None and (
+                hint[0] is not None or hint[2] is not None
+            ):
+                handlers[k] = door
+                append(DoorRow(first + i, row[4], hint))
+            else:
+                append(EmailMessage(first + i, *row, hint))
+        return times, handlers, messages

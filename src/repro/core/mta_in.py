@@ -71,7 +71,10 @@ class MtaIn:
         Batch-built messages carry a precomputed hint (see
         :meth:`precheck_batch`); for those, only the DNS resolution check
         — the one time-dependent step — runs here. Everything else takes
-        the full :meth:`_classify` walk.
+        the full :meth:`_classify` walk. A
+        :class:`~repro.core.message.DoorRow` stands in for a hinted
+        message the hint refuses (DESIGN.md §19): ``mta_hint`` is all
+        this reads of it.
         """
         hint = message.mta_hint
         if hint is not None:

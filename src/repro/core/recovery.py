@@ -35,8 +35,9 @@ from repro._version import __version__
 from repro.util.simtime import DAY
 
 #: On-disk snapshot format; bump on incompatible RunState changes (2: the
-#: generator routes rows by company index).
-CHECKPOINT_FORMAT = 2
+#: generator routes rows by company index; 3: DNSBL services keep a
+#: pending pre-listing table and a listing log).
+CHECKPOINT_FORMAT = 3
 
 #: Default spacing between snapshots for ``--checkpoint-every`` style knobs.
 DEFAULT_CHECKPOINT_EVERY = 7 * DAY

@@ -23,7 +23,7 @@ come from their own isolated stream and the within-stream order is
 unchanged.
 
 Drawing (the plan) and applying are separate steps so that a forked
-planner can draw each day one day ahead of the engine
+planner can draw each day up to three days ahead of the engine
 (:mod:`repro.workload.planner`, DESIGN.md §19).
 """
 
@@ -85,10 +85,15 @@ class TraceGenerator:
             self.installations.get(company.company_id)
             for company in world.companies
         ]
-        #: One bound ``handle_inbound`` per local company index, created
-        #: once (``None`` for another shard's company).
-        self._handlers = [
+        #: Delivery actions by handler token: token ``c`` is company
+        #: ``c``'s ``handle_inbound``, token ``n + c`` its
+        #: ``refuse_at_door`` (see :meth:`_doors`); ``None`` for another
+        #: shard's company. Bound once.
+        self._actions = [
             installation.handle_inbound if installation is not None else None
+            for installation in self._installation_at
+        ] + [
+            installation.refuse_at_door if installation is not None else None
             for installation in self._installation_at
         ]
         #: Sharded mode (DESIGN.md §12): *installations* covers only this
@@ -277,7 +282,12 @@ class TraceGenerator:
 
     def _dispatch_day(self, plan: DayPlan, day: int) -> None:
         """Apply one day's plan: replay its op log, allocate the day's id
-        block, materialize the messages and hand them to the engine."""
+        block, materialize the messages and hand them to the engine.
+
+        A row MTA-IN refuses whatever DNS says goes through the door: it
+        keeps its own event, but its action is ``refuse_at_door`` with a
+        ``DoorRow`` instead of ``handle_inbound`` with a message
+        (DESIGN.md §19)."""
         replay(self, plan.ops)
         # Ids are assigned by generation position, and the block covers
         # *all* companies' rows, so a shard's local ids match the
@@ -286,11 +296,11 @@ class TraceGenerator:
         keep = None
         if self.shard is not None:
             keep = self._record_epoch(plan, first, day)
-        times, companies, messages = plan.materialize(first, keep)
+        times, tokens, messages = plan.materialize(first, keep, self._doors())
         if not messages:
             return
         self.messages_generated += len(messages)
-        handlers = list(map(self._handlers.__getitem__, companies))
+        handlers = list(map(self._actions.__getitem__, tokens))
         if self.batch_delivery:
             self.simulator.schedule_batch(
                 times, handlers, messages, label=f"day-{day}-mail"
@@ -299,6 +309,21 @@ class TraceGenerator:
             schedule = self.simulator.schedule
             for t, handler, message in zip(times, handlers, messages):
                 schedule(t, partial(handler, message))
+
+    def _doors(self) -> Optional[list]:
+        """Each company index's door token, or ``None`` where every row
+        must reach ``handle_inbound``: another shard's company, or an
+        installation with a crash plan, whose dispatcher-down deferral
+        needs the message. ``None`` when no company has a door (a crash
+        run: the plan arms every installation)."""
+        n = len(self._installation_at)
+        doors = [
+            n + index
+            if installation is not None and installation.crash_plan is None
+            else None
+            for index, installation in enumerate(self._installation_at)
+        ]
+        return doors if any(door is not None for door in doors) else None
 
     def _record_epoch(self, plan: DayPlan, first: int, day: int) -> list:
         """Record every row — local or remote — in the day's

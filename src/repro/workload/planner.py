@@ -1,4 +1,4 @@
-"""Plan the trace one day ahead of the engine, in a forked child.
+"""Plan the trace a few days ahead of the engine, in a forked child.
 
 Each simulated day's traffic is a **plan** — pure data — and an
 **apply** step (DESIGN.md §19). :meth:`TraceGenerator._draw_day` makes
@@ -6,14 +6,17 @@ the plan: the day's rows sorted by arrival time, each with its
 generation index, company index and ``mta_hint``, as a :class:`DayPlan`.
 :meth:`TraceGenerator._dispatch_day` applies it at the day's planning
 event: it replays the plan's op log, allocates the id block,
-materialises the messages and schedules them.
+materialises the messages (or, for rows MTA-IN refuses whatever DNS
+says, only what the refusal reads) and schedules them.
 
 A top-level run forks one :class:`Planner` child at the end of its first
 planning event. The child runs the unchanged drawing code on its forked
-copy of the run for the following days, one day ahead of the engine,
-and sends each plan over a socket pair. Every side effect the drawing
-makes outside the generator is recorded, in generation order, as one op
-in the plan's log:
+copy of the run for the following days, up to ``_AHEAD`` days ahead of
+the engine, and a sender thread writes each pickled plan to a socket
+pair: a day's plan is larger than the socket's buffer, so the drawing
+must not wait for the main process to read it. Every side effect the
+drawing makes outside the generator is recorded, in generation order,
+as one op in the plan's log:
 
 * an IP leased from the world's allocator (the child's own allocator
   advances, because the drawing reads it back; the replay checks that
@@ -24,10 +27,9 @@ in the plan's log:
 
 The main process replays them at the same simulated time and in the
 same order as in-process planning would have made them, so the run is
-bit-identical either way. Values cross the pipe through a per-run table:
-each distinct string, enum member or hint is sent once and referred to
-by index afterwards, so the store's records share one object per value
-as they do when planning in-process.
+bit-identical either way. A plan crosses the pipe as one plain pickle:
+pickle already writes a value repeated within a day once, and enum
+members unpickle as the same objects.
 
 Planning stays in-process when :func:`can_fork_planner` says no, or
 when the run shows attacks, checkpoint writes or a shard of its own
@@ -39,12 +41,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import queue
 import resource
 import signal
 import sys
+import threading
 import time
 import traceback
-from array import array
 from dataclasses import dataclass
 from functools import partial
 
@@ -58,13 +61,8 @@ from repro.workload.entities import IpAllocator
 #: Op kinds of a plan's log.
 _IP, _PTR, _LIST, _MAILBOX, _CALL, _COUNTERS = range(6)
 
-#: Row fields that cross the pipe as indexes into the value table
-#: (env_from, env_to, subject, client_ip, kind, sender_class,
-#: campaign_id); ``t``, ``size`` and ``has_virus`` travel as arrays.
-_CODED_FIELDS = (1, 2, 3, 5, 6, 7, 8)
-
 #: Days the planner may draw beyond the one the engine is running.
-_AHEAD = 1
+_AHEAD = 3
 
 #: Seconds between liveness checks while the main process waits for a
 #: plan: a dead planner raises instead of hanging even if some other
@@ -110,20 +108,19 @@ class PlannerStats:
     days: int = 0
     #: Main-process seconds blocked waiting for a plan.
     wait_s: float = 0.0
-    #: Planner seconds spent drawing and encoding plans.
+    #: Planner seconds spent drawing and pickling plans.
     busy_s: float = 0.0
     #: The planner's own peak resident set size.
     max_rss_bytes: int = 0
 
 
 class Planner:
-    """Main side of a forked day planner: receives, decodes and checks
-    each day's plan; kills and reaps the child on :meth:`close`."""
+    """Main side of a forked day planner: receives and checks each day's
+    plan; kills and reaps the child on :meth:`close`."""
 
     def __init__(self, generator, first_day: int, n_days: int) -> None:
         self.n_days = n_days
         self.stats = PlannerStats()
-        self._values: list = []
         conn, child_conn = multiprocessing.Pipe()
         pid = os.fork()
         if pid == 0:
@@ -135,8 +132,8 @@ class Planner:
         self._reaped = False
 
     def receive(self, day: int) -> DayPlan:
-        """The plan for *day*, decoded; raises :class:`PlannerError` if
-        the planner died, failed or sent another day."""
+        """The plan for *day*; raises :class:`PlannerError` if the
+        planner died, failed or sent another day."""
         conn = self._conn
         started = time.perf_counter()
         while not conn.poll(_LIVENESS_POLL_S):
@@ -154,7 +151,7 @@ class Planner:
                 f"day planner (pid {self.pid}) failed:\n"
                 + payload[1:].decode("utf-8", "replace")
             )
-        plan = self._decode(payload)
+        plan = self._load(payload)
         if plan.day != day:
             raise PlannerError(
                 f"day planner (pid {self.pid}) sent day {plan.day}, "
@@ -195,26 +192,16 @@ class Planner:
                 f"{day}"
             )
 
-    def _decode(self, payload: bytes) -> DayPlan:
-        (day, new, times, sizes, viruses, coded, hints, order, companies,
-         ops, busy, rss) = pickle.loads(payload)
-        values = self._values
-        values.extend(new)
-        value = values.__getitem__
-        senders, rcpts, subjects, ips, kinds, classes, campaigns = (
-            map(value, column) for column in coded
+    def _load(self, payload: bytes) -> DayPlan:
+        day, rows, hints, order, companies, ops, busy, rss = pickle.loads(
+            payload
         )
-        rows = list(zip(
-            times, senders, rcpts, subjects, sizes, ips, kinds, classes,
-            campaigns, map(bool, viruses),
-        ))
         stats = self.stats
         stats.days += 1
         stats.busy_s += busy
         stats.max_rss_bytes = max(stats.max_rss_bytes, rss)
         return DayPlan(
-            day, _decode_ops(ops, value), rows=rows, handlers=companies,
-            order=order, hints=list(map(value, hints)),
+            day, ops, rows=rows, handlers=companies, order=order, hints=hints
         )
 
 
@@ -252,80 +239,15 @@ def replay(generator, ops) -> None:
                 source.blasts_sent = sent
 
 
-def _decode_ops(ops: list, value) -> list:
-    decoded = []
-    for op in ops:
-        kind = op[0]
-        if kind == _IP:
-            op = (_IP, value(op[1]))
-        elif kind == _PTR or kind == _MAILBOX:
-            op = (kind, value(op[1]), value(op[2]))
-        elif kind == _LIST:
-            op = (_LIST, value(op[1]), list(map(value, op[2])), op[3], op[4])
-        elif kind == _CALL:
-            op = (_CALL, op[1], op[2], value(op[3]), tuple(map(value, op[4])))
-        decoded.append(op)
-    return decoded
-
-
-class _Codec:
-    """Child side of the per-run value table: the first time a value is
-    sent it gets the next index and rides along in that day's payload.
-
-    Values are strings, enum members, ``None``, hint tuples and
-    scheduled-call arguments. Never booleans: ``True == 1`` would alias
-    an integer argument, so ``has_virus`` travels as a byte column.
-    """
-
-    def __init__(self) -> None:
-        self._ids: dict = {}
-        self.new: list = []
-
-    def code(self, value) -> int:
-        ids = self._ids
-        index = ids.get(value)
-        if index is None:
-            index = ids[value] = len(ids)
-            self.new.append(value)
-        return index
-
-    def column(self, values) -> array:
-        # Known values resolve in one C-level pass; only the first sight
-        # of a value (a ``None`` index) takes the Python path.
-        ids = self._ids
-        get = ids.get
-        indexes = list(map(get, values))
-        if None in indexes:
-            new = self.new
-            miss = indexes.index(None)
-            while True:
-                value = values[miss]
-                index = get(value)
-                if index is None:
-                    index = ids[value] = len(ids)
-                    new.append(value)
-                indexes[miss] = index
-                try:
-                    miss = indexes.index(None, miss + 1)
-                except ValueError:
-                    break
-        return array("l", indexes)
-
-    def take_new(self) -> list:
-        new, self.new = self.new, []
-        return new
-
-
 class _Recorder:
     """Child side: stands in for the simulator the drawing code reads the
     clock from and schedules on, and records each world mutation the
     drawing makes as an op. Installed only in the planner child, whose
     copy of the run exists for nothing else."""
 
-    def __init__(self, generator, codec: _Codec) -> None:
+    def __init__(self, generator) -> None:
         self.now = 0.0
         self.ops: list = []
-        self._code = codec.code
         self._world = generator.world
         self._company_index = {
             company.company_id: index
@@ -337,11 +259,10 @@ class _Recorder:
 
     def schedule(self, at: float, action, label: str = "") -> None:
         method = action.func
-        code = self._code
         self.ops.append((
             _CALL, at,
             self._company_index[method.__self__.config.company_id],
-            code(method.__name__), [code(arg) for arg in action.args],
+            method.__name__, action.args,
         ))
 
     def take_ops(self) -> list:
@@ -361,23 +282,22 @@ class _Recorder:
         )
 
     def _patch(self) -> None:
-        ops, code = self.ops, self._code
+        ops = self.ops
         allocate = IpAllocator.allocate
 
         def leased(allocator):
             ip = allocate(allocator)
-            ops.append((_IP, code(ip)))
+            ops.append((_IP, ip))
             return ip
 
         def ptr(_registry, ip, hostname):
-            ops.append((_PTR, code(ip), code(hostname)))
+            ops.append((_PTR, ip, hostname))
 
         def listed(service, ips, now, duration):
-            ops.append((_LIST, code(service.name), [code(ip) for ip in ips],
-                        now, duration))
+            ops.append((_LIST, service.name, ips, now, duration))
 
         def mailbox(host, local):
-            ops.append((_MAILBOX, code(host.domain), code(local)))
+            ops.append((_MAILBOX, host.domain, local))
 
         IpAllocator.allocate = leased
         DnsRegistry.register_client_ptr = ptr
@@ -386,46 +306,55 @@ class _Recorder:
 
 
 def _serve(generator, conn, first_day: int, n_days: int) -> None:
-    """The planner child: plan days ``first_day..n_days-1``, each after
-    the main process took the one before, then exit. Never returns."""
+    """The planner child: plan days ``first_day..n_days-1``, at most
+    ``_AHEAD`` days beyond the one the main process took last, then exit.
+    Never returns."""
     status = 1
+    # Plans and the error frame leave through one queue and one sender
+    # thread, so a frame is never written into the middle of another.
+    outbox = queue.SimpleQueue()
+    sender = threading.Thread(target=_send, args=(conn, outbox))
     try:
         # A profiler or tracer inherited from the main process would only
         # slow the child down; what it measured here is never read.
         sys.setprofile(None)
         sys.settrace(None)
-        codec = _Codec()
-        recorder = _Recorder(generator, codec)
+        sender.start()
+        recorder = _Recorder(generator)
         for day in range(first_day, n_days):
             if day >= first_day + _AHEAD:
                 conn.recv_bytes()
             started = time.perf_counter()
             recorder.now = day * DAY
             plan = generator._draw_day(day)
-            payload = _encode(plan, recorder.take_ops(), codec, started)
-            conn.send_bytes(payload)
+            outbox.put(_dump(plan, recorder.take_ops(), started))
         status = 0
     except BaseException:
-        try:
-            conn.send_bytes(b"E" + traceback.format_exc().encode("utf-8"))
-        except BaseException:
-            pass
+        outbox.put(b"E" + traceback.format_exc().encode("utf-8"))
     finally:
-        os._exit(status)
+        outbox.put(None)
+        try:
+            sender.join()
+        finally:
+            os._exit(status)
 
 
-def _encode(plan: DayPlan, ops: list, codec: _Codec, started: float) -> bytes:
-    columns = list(zip(*plan.rows)) if plan.rows else [()] * 10
-    coded = [codec.column(columns[field]) for field in _CODED_FIELDS]
-    hints = codec.column(plan.hints)
+def _send(conn, outbox: queue.SimpleQueue) -> None:
+    """The child's sender thread: write each queued frame until ``None``."""
+    try:
+        for payload in iter(outbox.get, None):
+            conn.send_bytes(payload)
+    except OSError:
+        pass  # the main process is gone; the drawing loop sees it too
+
+
+def _dump(plan: DayPlan, ops: list, started: float) -> bytes:
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is kilobytes on Linux, bytes on macOS.
     if sys.platform != "darwin":
         rss *= 1024
     return pickle.dumps(
-        (plan.day, codec.take_new(), array("d", columns[0]),
-         array("q", columns[4]), array("b", columns[9]), coded, hints,
-         array("l", plan.order), array("l", plan.handlers), ops,
+        (plan.day, plan.rows, plan.hints, plan.order, plan.handlers, ops,
          time.perf_counter() - started, rss),
         protocol=pickle.HIGHEST_PROTOCOL,
     )

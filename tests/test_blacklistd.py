@@ -1,8 +1,9 @@
 """Unit + property tests for the DNSBL ecosystem."""
 
+import pickle
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.blacklistd.monitor import BlacklistMonitor
 from repro.blacklistd.service import (
@@ -151,6 +152,129 @@ class TestListingPolicy:
         assert b.total_listed_time("9.9.9.9", horizon) >= (
             a.total_listed_time("9.9.9.9", horizon) - 1e-5
         )
+
+
+class _EagerService(DnsblService):
+    """Reference for lazy pre-listings: every bulk pre-listing builds each
+    IP's state at once, one ``force_list`` per IP in order."""
+
+    def force_list_many(self, ips, now, duration):
+        for ip in ips:
+            self.force_list(ip, now, duration)
+
+
+_POOL = [f"10.0.0.{i}" for i in range(6)]
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("many"), st.lists(st.sampled_from(_POOL), max_size=5),
+            st.floats(min_value=1.0, max_value=5 * DAY),
+        ),
+        st.tuples(
+            st.just("one"), st.sampled_from(_POOL),
+            st.floats(min_value=1.0, max_value=5 * DAY),
+        ),
+        st.tuples(st.just("trap"), st.sampled_from(_POOL)),
+        st.tuples(st.just("query"), st.sampled_from(_POOL)),
+    ),
+    max_size=40,
+)
+
+
+def _apply(service, ops, times, answers):
+    """Run *ops* at the nondecreasing *times*, appending each query's
+    answer to *answers*."""
+    for op, now in zip(ops, times):
+        kind = op[0]
+        if kind == "many":
+            service.force_list_many(list(op[1]), now, op[2])
+        elif kind == "one":
+            service.force_list(op[1], now, op[2])
+        elif kind == "trap":
+            service.record_trap_hit(op[1], now)
+        else:
+            answers.append(service.is_listed(op[1], now))
+
+
+def _materialised_state(service) -> dict:
+    for ip in list(service._pending):
+        service._state_of(ip)
+    assert not service._pending
+    return service._state
+
+
+class TestLazyPreListings:
+    """A lazy service answers, lists and pickles exactly like one that
+    builds every pre-listed IP's state at once."""
+
+    @staticmethod
+    def _pair(lag):
+        policy = ListingPolicy(threshold=2, window=DAY, base_duration=DAY)
+        return (
+            DnsblService("rbl", policy, listing_lag=lag),
+            _EagerService("rbl", policy, listing_lag=lag),
+        )
+
+    def _assert_same(self, lazy, eager):
+        assert lazy.history == eager.history
+        for ip in _POOL:
+            assert lazy.listed_intervals(ip) == eager.listed_intervals(ip)
+            assert lazy.total_listed_time(ip, 10 * DAY) == (
+                eager.total_listed_time(ip, 10 * DAY)
+            )
+        assert (lazy.queries, lazy.cache_hits, lazy.cache_misses) == (
+            eager.queries, eager.cache_hits, eager.cache_misses
+        )
+        assert _materialised_state(lazy) == eager._state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _ops,
+        st.lists(st.floats(min_value=0, max_value=10 * DAY), max_size=40),
+        st.sampled_from([0.0, HOUR]),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_random_sequences_match_the_eager_service(
+        self, ops, times, lag, split
+    ):
+        times = sorted(times + [10 * DAY] * (len(ops) - len(times)))
+        lazy, eager = self._pair(lag)
+        lazy_answers, eager_answers = [], []
+        _apply(eager, ops, times, eager_answers)
+        _apply(lazy, ops[:split], times[:split], lazy_answers)
+        # A pickle round-trip mid-sequence, pending entries included.
+        lazy = pickle.loads(pickle.dumps(lazy))
+        _apply(lazy, ops[split:], times[split:], lazy_answers)
+        assert lazy_answers == eager_answers
+        self._assert_same(lazy, eager)
+
+    def test_fresh_batch_stays_pending_until_touched(self):
+        lazy, eager = self._pair(0.0)
+        for service in (lazy, eager):
+            service.force_list_many(["1.0.0.1", "1.0.0.2"], 0.0, DAY)
+        assert lazy._state == {} and set(lazy._pending) == {
+            "1.0.0.1", "1.0.0.2"
+        }
+        restored = pickle.loads(pickle.dumps(lazy))
+        assert restored._pending == lazy._pending
+        assert restored.history == eager.history
+        assert restored.is_listed("1.0.0.1", HOUR)
+        assert set(restored._state) == {"1.0.0.1"}
+        assert set(restored._pending) == {"1.0.0.2"}
+
+    def test_duplicates_and_known_ips_take_the_per_ip_path(self):
+        lazy, eager = self._pair(0.0)
+        for service in (lazy, eager):
+            service.is_listed("1.0.0.3", 0.0)  # queried before listed
+            service.force_list_many(["1.0.0.1", "1.0.0.1"], 0.0, DAY)
+            service.force_list_many(["1.0.0.3"], HOUR, DAY)
+            service.force_list_many(["1.0.0.4"], HOUR, DAY)
+            service.force_list_many(["1.0.0.4", "1.0.0.5"], 2 * HOUR, DAY)
+        assert lazy._pending == {}
+        assert lazy.is_listed("1.0.0.3", 2 * HOUR)
+        assert eager.is_listed("1.0.0.3", 2 * HOUR)
+        self._assert_same(lazy, eager)
 
 
 class TestDefaultServices:

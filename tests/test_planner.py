@@ -138,6 +138,32 @@ def test_a_killed_planner_raises_naming_the_planner(
     _assert_reaped(started.pid)
 
 
+def test_a_planner_failure_behind_an_unsent_plan_raises_its_traceback(
+    monkeypatch, planners, deadline
+):
+    """The child fails while its sender thread is still writing the plan
+    before (padded past the socket's buffer): the error frame must follow
+    that plan whole, not cut into it."""
+    main = os.getpid()
+    dump, draw = planner._dump, generator.TraceGenerator._draw_day
+
+    def padded(*args):
+        return dump(*args) + bytes(1 << 20)  # pickle ignores the tail
+
+    def draw_day(self, day):
+        if day == 2 and os.getpid() != main:
+            raise Boom("planner failed on day 2")
+        return draw(self, day)
+
+    monkeypatch.setattr(planner, "_dump", padded)
+    monkeypatch.setattr(generator.TraceGenerator, "_draw_day", draw_day)
+    with pytest.raises(planner.PlannerError, match="planner failed on day 2"):
+        run_simulation("tiny", seed=7)
+    (started,) = planners
+    assert started.stats.days == 1  # day 1's plan arrived whole
+    _assert_reaped(started.pid)
+
+
 def test_a_replay_ip_mismatch_raises(monkeypatch, planners, deadline):
     """An IP leased outside the generator mid-run shifts the main
     process's allocator: the next replayed lease must not go silent."""

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.core.engine import CompanyInstallation
 from repro.core.message import MessageKind, SenderClass
-from repro.core.mta_in import DropReason
+from repro.core.mta_in import DropReason, MtaIn
 from repro.core.spools import Category
 from repro.experiments import run_simulation
+from repro.experiments.parallel import store_digest
+from repro.util.metrics import execution_invariant
 from repro.util.simtime import day_of
+from repro.workload.generator import TraceGenerator
 
 
 @pytest.fixture(scope="module")
@@ -122,4 +126,89 @@ class TestOutboundAndChurn:
         other = run_simulation("tiny", seed=14)
         assert (
             other.store.summary_counts() != result.store.summary_counts()
+        )
+
+
+def _mta_counters(result) -> dict:
+    return {
+        company_id: (
+            installation.mta_in.accepted,
+            dict(installation.mta_in.dropped),
+            installation.mta_in.dns_tempfails,
+        )
+        for company_id, installation in result.installations.items()
+    }
+
+
+def _count_calls(monkeypatch, owner, attr: str) -> list:
+    """Patch ``owner.attr`` to append each call's return value to the
+    returned list."""
+    original = getattr(owner, attr)
+    returned = []
+
+    def counted(self, arg):
+        value = original(self, arg)
+        returned.append(value)
+        return value
+
+    monkeypatch.setattr(owner, attr, counted)
+    return returned
+
+
+class TestDoor:
+    """Rows MTA-IN refuses whatever DNS says skip the message build; the
+    door must leave everything the full ``handle_inbound`` path leaves."""
+
+    @pytest.mark.parametrize("preset,seed,weather", [
+        pytest.param("tiny", 3, {}, id="tiny-3"),
+        pytest.param("small", 11, {}, id="small-11"),
+        pytest.param("tiny", 7, {"faults": "stormy"}, id="tiny-7-stormy"),
+    ])
+    def test_door_matches_the_full_path(
+        self, preset, seed, weather, monkeypatch
+    ):
+        refused = _count_calls(
+            monkeypatch, CompanyInstallation, "refuse_at_door"
+        )
+        reasons = _count_calls(
+            monkeypatch, CompanyInstallation, "handle_inbound"
+        )
+        verdicts = _count_calls(monkeypatch, MtaIn, "check")
+        door = run_simulation(preset, seed=seed, **weather)
+        # Every refusal went through the door or handle_inbound, once.
+        assert refused
+        drops = sum(r.drop_reason is not None for r in door.store.mta)
+        assert drops == len(refused) + sum(r is not None for r in reasons)
+        door_calls = len(refused)
+        # Door rows still get their verdict from MtaIn.check.
+        door_verdicts = list(verdicts)
+        del verdicts[:]
+        monkeypatch.setattr(TraceGenerator, "_doors", lambda self: None)
+        full = run_simulation(preset, seed=seed, **weather)
+        assert len(refused) == door_calls  # the full path took every row
+        assert verdicts == door_verdicts
+        assert store_digest(door.store) == store_digest(full.store)
+        assert execution_invariant(door.metrics) == execution_invariant(
+            full.metrics
+        )
+        assert _mta_counters(door) == _mta_counters(full)
+        if weather:
+            assert sum(
+                counters[2] for counters in _mta_counters(door).values()
+            ) > 0
+
+    def test_crash_runs_refuse_every_row_in_handle_inbound(
+        self, monkeypatch
+    ):
+        refused = _count_calls(
+            monkeypatch, CompanyInstallation, "refuse_at_door"
+        )
+        reasons = _count_calls(
+            monkeypatch, CompanyInstallation, "handle_inbound"
+        )
+        result = run_simulation("tiny", seed=7, crashes="flaky")
+        assert refused == []
+        drops = [r.drop_reason for r in result.store.mta if r.drop_reason]
+        assert sorted(map(str, drops)) == sorted(
+            str(reason) for reason in reasons if reason is not None
         )
