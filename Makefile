@@ -39,7 +39,7 @@ goldens:
 	$(PYTHON) scripts/update_goldens.py
 
 # Every declarative check under checks/ (the CI gate): fault weather,
-# the audited ledger, crash recovery, sharding, the scenario pack, the
+# the audited ledger, crash recovery, the scenario pack, the
 # FP/FN frontier and the paper bands at bench seeds 3/7/11
 # (paper-3/7/11, paper-7-only). `python -m repro check NAME...` runs a
 # subset.

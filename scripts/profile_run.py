@@ -19,7 +19,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_run.py --preset small --seed 11
     PYTHONPATH=src python scripts/profile_run.py --top 40 --sort tottime
-    PYTHONPATH=src python scripts/profile_run.py --shards 2 --spill-dir spill
+    PYTHONPATH=src python scripts/profile_run.py --spill-dir spill
 
 Every simulation flag of ``python -m repro run`` is accepted.
 """
@@ -139,11 +139,7 @@ def main(argv=None) -> int:
     if result.metrics["checkpoint.written"]:
         from repro.core.recovery import latest_checkpoint, load_checkpoint
 
-        # Sharded runs snapshot under per-shard subdirectories; time the
-        # restore of shard 0's newest snapshot in that case.
-        snapshot = latest_checkpoint(spec.checkpoint_dir) or latest_checkpoint(
-            pathlib.Path(spec.checkpoint_dir) / "shard-0"
-        )
+        snapshot = latest_checkpoint(spec.checkpoint_dir)
         if snapshot is not None:
             started_restore = time.perf_counter()
             load_checkpoint(snapshot)

@@ -242,53 +242,6 @@ def _stream_slice(table, index: slice) -> list:
     return list(table)[index]
 
 
-class MergedTable:
-    """A lazy, ordered k-way merge view over per-shard tables.
-
-    Per-shard stores stay chunked on disk (or columnar in memory); this
-    view interleaves their record streams by a per-table sort key at
-    iteration time, reconstructing the exact record order a single
-    whole-world run would have logged. Nothing is copied record-by-record
-    into a new table — iteration holds at most one chunk per shard.
-    """
-
-    __slots__ = ("parts", "key")
-
-    def __init__(self, parts: list, key) -> None:
-        self.parts = parts
-        self.key = key
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    def __iter__(self):
-        import heapq
-
-        key = self.key
-        return heapq.merge(*self.parts, key=key)
-
-    def chunks(self) -> Iterator[list]:
-        chunk: list = []
-        for record in self:
-            chunk.append(record)
-            if len(chunk) >= SPILL_CHUNK_ROWS:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _stream_slice(self, index)
-        if index < 0:
-            index += len(self)
-        from itertools import islice
-
-        for record in islice(self, index, index + 1):
-            return record
-        raise IndexError(index)
-
-
 class LogStore:
     """Typed, append-only collection of all measurement logs.
 
@@ -409,13 +362,9 @@ class LogStore:
         state["_index"] = None
         for table in TABLES:
             rows = state[table]
-            # Spilled tables carry their own chunk-reference pickling;
-            # merged views materialise (they only reach here when a cached
-            # RunSummary is written, an explicit choice to persist).
+            # Spilled tables carry their own chunk-reference pickling.
             if isinstance(rows, list):
                 state[table] = _pack_rows(rows)
-            elif isinstance(rows, MergedTable):
-                state[table] = _pack_rows(list(rows))
         return state
 
     def __setstate__(self, state: dict) -> None:

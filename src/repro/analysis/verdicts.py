@@ -6,9 +6,9 @@ server spent at least D days blacklisted"); this module computes each
 metric from the measurement store's ledger-grade aggregates and renders
 the verdict table. Registered as experiment id ``verdicts``.
 
-Metrics operate purely on the (merged, possibly loaded-from-disk) record
-lists, never on live installations, so verdicts evaluate identically for
-plain, sharded, cached, and persisted runs; a dotted name reads a run
+Metrics operate purely on the (possibly loaded-from-disk) record lists,
+never on live installations, so verdicts evaluate identically for plain,
+spilled, cached, and persisted runs; a dotted name reads a run
 counter or, under ``paper.``, a quantity of one paper experiment's
 statistics instead (:func:`resolve_metric`). A check *evaluates* (pass or
 fail) even when its metric trips or is unknown: errors are captured per
@@ -263,17 +263,17 @@ PAPER_STATS = {
 }
 
 #: The groups a dotted verdict name may read: the run's metrics map,
-#: a sharded run's ``shard.*`` costs, the store's ``store.<table>`` rows
-#: and the paper experiments' statistics.
-METRIC_GROUPS = frozenset(GROUPS) | {"shard", "store", "paper"}
+#: the store's ``store.<table>`` rows and the paper experiments'
+#: statistics.
+METRIC_GROUPS = frozenset(GROUPS) | {"store", "paper"}
 
 
 def resolve_metric(result, name: str, paper: Optional[dict] = None) -> float:
     """The dotted *name*'s value for *result*, looked up in order in
-    ``result.metrics``, the views' derived properties, a sharded run's
-    ``shard.*`` costs, the store's row counts and the paper experiments'
-    statistics (each computed once into *paper*, when given); ``KeyError``
-    when no source has it (an unknown name never reads as 0)."""
+    ``result.metrics``, the views' derived properties, the store's row
+    counts and the paper experiments' statistics (each computed once
+    into *paper*, when given); ``KeyError`` when no source has it (an
+    unknown name never reads as 0)."""
     group, _, rest = name.partition(".")
     if name in result.metrics:
         return float(result.metrics[name])
@@ -281,10 +281,6 @@ def resolve_metric(result, name: str, paper: Optional[dict] = None) -> float:
         view = getattr(result, _VIEWS[group])
         if isinstance(getattr(type(view), rest, None), property):
             return float(getattr(view, rest))
-    if group == "shard" and result.shard_stats is not None:
-        shard = result.shard_stats.metrics()
-        if name in shard:
-            return float(shard[name])
     if group == "store":
         counts = result.store.summary_counts()
         if rest in counts:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.util.simtime import DAY, HOUR
 from repro.util.slots import slotted
@@ -33,28 +33,6 @@ class ListingPolicy:
     escalation: float = 2.0
     #: ...capped at this duration.
     max_duration: float = 60 * DAY
-
-
-class ListingInterval(NamedTuple):
-    """One contiguous period during which an IP was listed.
-
-    A ``NamedTuple`` rather than a dataclass: cheap to build, while
-    keeping the ``.ip``/``.listed_at``/``.listed_until`` attribute access
-    consumers rely on.
-    """
-
-    ip: str
-    listed_at: float
-    listed_until: float
-
-
-class _PreListing(NamedTuple):
-    """One bulk pre-listing of fresh IPs in the listing log: stands for
-    one :class:`ListingInterval` per IP, in *ips* order."""
-
-    ips: tuple
-    listed_at: float
-    listed_until: float
 
 
 @slotted
@@ -86,13 +64,11 @@ class DnsblService:
     Pre-listings are lazy (DESIGN.md §5): campaigns seed hundreds of
     thousands of fresh bot IPs, and only the RBL filter ever reads them.
     A bulk :meth:`force_list_many` of fresh IPs records each IP in
-    ``_pending`` (IP -> one shared ``(listed_from, listed_until)`` pair)
-    and the batch as one :class:`_PreListing` in the listing log; the
-    IP's :class:`_IpState` is built when something first touches it
+    ``_pending`` (IP -> one shared ``(listed_from, listed_until)`` pair);
+    the IP's :class:`_IpState` is built when something first touches it
     (:meth:`is_listed` cache miss, :meth:`record_trap_hit`,
-    :meth:`force_list`/:meth:`force_list_many`). Every answer,
-    :attr:`history` and :meth:`listed_intervals` are those of building
-    every state eagerly.
+    :meth:`force_list`/:meth:`force_list_many`). Every answer is that of
+    building every state eagerly.
     """
 
     #: Class-wide switch so tests can compare cached vs uncached runs.
@@ -112,9 +88,6 @@ class DnsblService:
             tuple(s.listed_from for s in ip_state.values()),
             tuple(s.listed_until for s in ip_state.values()),
         )
-        # Plain tuples, told apart on load by their first field: a
-        # batch's is a tuple of IPs, an interval's one IP.
-        state["_log"] = tuple(map(tuple, state["_log"]))
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -125,11 +98,6 @@ class DnsblService:
                 ips, hits, listings, listed_from, listed_until
             )
         }
-        state["_log"] = [
-            _PreListing(*entry) if type(entry[0]) is tuple
-            else ListingInterval(*entry)
-            for entry in state["_log"]
-        ]
         self.__dict__.update(state)
 
     def __init__(
@@ -152,27 +120,9 @@ class DnsblService:
         #: ip -> (answer, valid_until); stable "not listed" answers carry
         #: ``inf`` (they only flip via a listing event, which pops them).
         self._answer_cache: dict[str, tuple[bool, float]] = {}
-        #: Every listing in order: a :class:`ListingInterval` or one
-        #: :class:`_PreListing` batch (see :attr:`history`).
-        self._log: list = []
         self.queries = 0
         self.cache_hits = 0
         self.cache_misses = 0
-
-    @property
-    def history(self) -> list[ListingInterval]:
-        """Every listing interval, in the order the listings happened (a
-        new list each call: the log behind it is append-only)."""
-        history = []
-        for entry in self._log:
-            if type(entry) is _PreListing:
-                ips, listed_at, listed_until = entry
-                history.extend(
-                    ListingInterval(ip, listed_at, listed_until) for ip in ips
-                )
-            else:
-                history.append(entry)
-        return history
 
     def _state_of(self, ip: str) -> Optional[_IpState]:
         """*ip*'s state, built now if it is a pending pre-listing."""
@@ -208,7 +158,6 @@ class DnsblService:
         state.listed_until = visible_from + duration + self.delisting_lag
         state.hits.clear()
         self._answer_cache.pop(ip, None)
-        self._log.append(ListingInterval(ip, visible_from, state.listed_until))
 
     def _answer(self, state: Optional[_IpState], now: float) -> tuple[bool, float]:
         """``(listed, valid_until)`` for one IP's state at *now*."""
@@ -248,7 +197,6 @@ class DnsblService:
             state.listed_from = now
         state.listed_until = max(state.listed_until, now + duration)
         self._answer_cache.pop(ip, None)
-        self._log.append(ListingInterval(ip, now, state.listed_until))
 
     def force_list_many(self, ips: list, now: float, duration: float) -> None:
         """Bulk :meth:`force_list` — one call per campaign per service
@@ -260,9 +208,7 @@ class DnsblService:
         batch is recorded with C-level dict operations and no per-IP
         object; otherwise each IP takes the ``force_list`` path.
         """
-        until = now + duration
-        span = (now, until)
-        fresh = dict.fromkeys(ips, span)
+        fresh = dict.fromkeys(ips, (now, now + duration))
         if (
             len(fresh) == len(ips)
             and self._state.keys().isdisjoint(fresh)
@@ -270,48 +216,9 @@ class DnsblService:
             and self._answer_cache.keys().isdisjoint(fresh)
         ):
             self._pending.update(fresh)
-            self._log.append(_PreListing(tuple(ips), now, until))
             return
         for ip in ips:
             self.force_list(ip, now, duration)
-
-    def listed_intervals(self, ip: str) -> list[ListingInterval]:
-        intervals = []
-        for entry in self._log:
-            if type(entry) is _PreListing:
-                if ip in entry.ips:
-                    intervals.append(
-                        ListingInterval(ip, entry.listed_at, entry.listed_until)
-                    )
-            elif entry.ip == ip:
-                intervals.append(entry)
-        return intervals
-
-    def total_listed_time(self, ip: str, horizon: float) -> float:
-        """Total seconds *ip* spent listed within ``[0, horizon]``.
-
-        Intervals are merged so overlapping/adjacent listings are not
-        double-counted.
-        """
-        spans = sorted(
-            (i.listed_at, min(i.listed_until, horizon))
-            for i in self.listed_intervals(ip)
-            if i.listed_at < horizon
-        )
-        total = 0.0
-        current_start: Optional[float] = None
-        current_end = 0.0
-        for start, end in spans:
-            if current_start is None:
-                current_start, current_end = start, end
-            elif start <= current_end:
-                current_end = max(current_end, end)
-            else:
-                total += current_end - current_start
-                current_start, current_end = start, end
-        if current_start is not None:
-            total += current_end - current_start
-        return total
 
 
 #: Policies loosely ranked by real-world reputation for aggressiveness in

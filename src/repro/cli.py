@@ -327,26 +327,6 @@ def add_sim_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "partition the companies across N worker processes "
-            "(digest-identical to the single-process run)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "concurrent shard workers (default: one per shard; 1 runs "
-            "the shards sequentially in-process)"
-        ),
-    )
-    parser.add_argument(
         "--spill-dir",
         default=None,
         metavar="DIR",
@@ -402,19 +382,14 @@ def _load_or_run(args: argparse.Namespace):
         from repro.analysis.persistence import load_run
 
         return load_run(args.load)
-    # For sharded runs --resume-from names the checkpoint *root* (each
-    # shard resumes from its own shard-<k>/ subdirectory).
     return simulate(spec_from_args(args))
 
 
 def format_run_metrics(result) -> str:
-    """A finished run's metrics map, plus a sharded run's per-shard
-    costs, one ``name  value`` line each (``repro run``, ``repro check``
-    and ``scripts/profile_run.py`` print this)."""
-    metrics = dict(result.metrics)
-    if result.shard_stats is not None:
-        metrics.update(result.shard_stats.metrics())
-    return format_metrics(metrics)
+    """A finished run's metrics map, one ``name  value`` line each
+    (``repro run``, ``repro check`` and ``scripts/profile_run.py`` print
+    this)."""
+    return format_metrics(result.metrics)
 
 
 def _command_run(args: argparse.Namespace) -> int:

@@ -63,7 +63,7 @@ class FilterChainSpec:
     """Declarative composition of the auxiliary filter chain.
 
     Frozen and hashable (tuples + scalars only) so a spec folds into the
-    sweep cache key, ships to shard workers, and round-trips through
+    sweep cache key, ships to sweep workers, and round-trips through
     scenario YAML with a deterministic repr. ``members`` are instantiated
     in order — the chain short-circuits on the first drop, so order is
     part of the configuration. Per-member knobs (thresholds, windows)

@@ -10,10 +10,8 @@ the rest of the chain (or the CR quarantine) decide.
 Like the content filter, history is labelled from the workload's ground
 truth, standing in for the feedback corpus a deployed reputation system
 accumulates. Score-then-record: the message being judged is not part of
-the history that judges it. The filter is fully deterministic (no RNG),
-so per-company instances are shard-safe under replicated-trace
-sharding — each company's filter sees exactly its own mail in time
-order regardless of shard count.
+the history that judges it. The filter is fully deterministic (no RNG):
+each company's instance sees exactly its own mail in time order.
 """
 
 from __future__ import annotations

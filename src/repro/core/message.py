@@ -240,15 +240,14 @@ class MessageBatch:
         self.handlers = [handlers[i] for i in order]
         self.order = order
 
-    def materialize(self, first: int, keep=None, doors=None) -> tuple:
+    def materialize(self, first: int, doors=None) -> tuple:
         """Build the sealed rows' messages, row ``k`` with id ``first +
         order[k]`` — the ids per-message allocation in generation order
         would have given, for an id block starting at *first*.
 
         Returns ``(times, handlers, messages)``, parallel columns in
         arrival order ready for
-        :meth:`repro.sim.engine.Simulator.schedule_batch`. *keep*, a list
-        of sorted-row positions, restricts the build to those rows.
+        :meth:`repro.sim.engine.Simulator.schedule_batch`.
 
         *doors*, indexed by handler token, lets refused rows skip the
         build: where ``doors[handler]`` is not ``None`` and the row's hint
@@ -261,11 +260,6 @@ class MessageBatch:
         hints = self.hints
         if hints is None:
             hints = [None] * len(rows)
-        if keep is not None:
-            rows = [rows[k] for k in keep]
-            order = [order[k] for k in keep]
-            handlers = [handlers[k] for k in keep]
-            hints = [hints[k] for k in keep]
         times = [row[0] for row in rows]
         if doors is None:
             messages = [

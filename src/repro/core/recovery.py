@@ -2,7 +2,7 @@
 
 The CR product's zero-loss claim (tested by :mod:`repro.net.crashes`)
 extends to the *simulation harness itself*: a long run killed halfway —
-a preempted batch job, a crashed laptop, a failed parallel-sweep shard —
+a preempted batch job, a crashed laptop, a failed parallel-sweep run —
 must be resumable without redoing the finished part and, crucially,
 without changing the answer. The contract is exact:
 
@@ -36,8 +36,9 @@ from repro.util.simtime import DAY
 
 #: On-disk snapshot format; bump on incompatible RunState changes (2: the
 #: generator routes rows by company index; 3: DNSBL services keep a
-#: pending pre-listing table and a listing log).
-CHECKPOINT_FORMAT = 3
+#: pending pre-listing table and a listing log; 4: the generator has no
+#: shard context and DNSBL services no listing log).
+CHECKPOINT_FORMAT = 4
 
 #: Default spacing between snapshots for ``--checkpoint-every`` style knobs.
 DEFAULT_CHECKPOINT_EVERY = 7 * DAY

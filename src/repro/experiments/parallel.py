@@ -64,7 +64,7 @@ from repro.experiments.runner import RunSpec, SimulationResult, simulate
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".cache/runs"
 
-#: Default root for per-spec checkpoint directories (failed shards of a
+#: Default root for per-spec checkpoint directories (failed runs of a
 #: sweep resume from here instead of restarting from day 0).
 DEFAULT_CHECKPOINT_ROOT = ".cache/checkpoints"
 
@@ -157,11 +157,11 @@ def _execute_spec(
 
     With *resume* set, a checkpointing spec first looks for its newest
     snapshot under its per-spec directory and continues from there — this
-    is how a retried shard avoids redoing the part that already ran.
+    is how a retried run avoids redoing the part that already ran.
 
     A spec with ``spill_dir`` spills into a private temporary directory
     under it, and its summary is pulled back into memory before that
-    directory is removed. Shards run sequentially inside the worker.
+    directory is removed.
     """
     directory = _spec_checkpoint_dir(spec, checkpoint_root)
     if resume and directory is not None:
@@ -174,10 +174,7 @@ def _execute_spec(
         spill_dir = tempfile.mkdtemp(prefix="repro-spill-", dir=spec.spill_dir)
     try:
         result = simulate(
-            replace(
-                spec, checkpoint_dir=directory, spill_dir=spill_dir,
-                shard_jobs=1,
-            )
+            replace(spec, checkpoint_dir=directory, spill_dir=spill_dir)
         )
         if spill_dir is not None:
             # The spill directory dies with this call, so pull every

@@ -36,7 +36,6 @@ from repro.net.crashes import (
     CrashSettings,
     get_crash_preset,
 )
-from repro.net.exchange import ShardContext, ShardExchange, ShardMap
 from repro.net.faults import (
     FaultCounters,
     FaultPlan,
@@ -325,18 +324,12 @@ class SimulationResult:
     seed: int
     wall_seconds: float
     #: Every counter of the run under its dotted name, from
-    #: :func:`collect_metrics` (merged across workers for sharded runs).
+    #: :func:`collect_metrics`.
     metrics: dict
     #: Each company's end-of-run ledger snapshot, in company-id order.
     ledger_snapshots: tuple = ()
     #: The snapshot this run resumed from, ``None`` for a fresh run.
     restored_from: Optional[str] = None
-    #: A shard worker's cross-shard exchange (manifests and row counts),
-    #: ``None`` otherwise.
-    exchange: Optional[ShardExchange] = None
-    #: A merged sharded result's
-    #: :class:`repro.experiments.sharded.ShardStats`, ``None`` otherwise.
-    shard_stats: object = None
     #: The resolved :class:`repro.scenarios.ScenarioSpec` this run
     #: executed, ``None`` for scenario-free runs. The ``verdicts``
     #: experiment evaluates its checks against the store.
@@ -344,7 +337,7 @@ class SimulationResult:
 
     @property
     def events_processed(self) -> int:
-        """Engine event count (summed across workers, sharded)."""
+        """Engine event count."""
         return self.metrics["sim.events"]
 
     @property
@@ -361,11 +354,11 @@ class SimulationResult:
 
 
 #: :class:`RunSpec` fields that never change what a run measures: its
-#: display name, where its files go, and how many processes do the work.
-#: Every other field is part of :meth:`RunSpec.cache_key`.
+#: display name and where its files go. Every other field is part of
+#: :meth:`RunSpec.cache_key`.
 NON_KEY_FIELDS = frozenset(
     {"label", "checkpoint_dir", "resume_from", "spill_dir",
-     "spill_chunk_rows", "shard_jobs"}
+     "spill_chunk_rows"}
 )
 
 
@@ -373,14 +366,14 @@ NON_KEY_FIELDS = frozenset(
 class RunSpec:
     """Every input of one simulated run, frozen.
 
-    ``run_simulation``, the sharded runner, the sweep runner and the CLI
-    all take their inputs from this one declaration. Attacks come only
-    from ``scenario``; the filter chain only from ``chain``.
+    ``run_simulation``, the sweep runner and the CLI all take their
+    inputs from this one declaration. Attacks come only from
+    ``scenario``; the filter chain only from ``chain``.
 
     Fields that change the run are part of :meth:`cache_key` — even
-    ``audit``, ``checkpoint_every``, ``batch_delivery`` and ``shards``,
-    whose output is byte-identical: a request to exercise that machinery
-    must actually run it, not be answered from the cache. The fields in
+    ``audit``, ``checkpoint_every`` and ``batch_delivery``, whose output
+    is byte-identical: a request to exercise that machinery must
+    actually run it, not be answered from the cache. The fields in
     :data:`NON_KEY_FIELDS` are not.
     """
 
@@ -419,16 +412,9 @@ class RunSpec:
     #: instead of one batch per day: same draws, same store, slower. The
     #: batched-vs-unbatched digest tests compare the two.
     batch_delivery: bool = True
-    #: Partition the companies across this many workers (DESIGN.md §12);
-    #: the merged store is digest-identical to the single-process run.
-    shards: Optional[int] = None
-    #: Concurrent shard workers (default one per shard; ``1`` runs the
-    #: shards sequentially in-process).
-    shard_jobs: Optional[int] = None
     checkpoint_dir: Optional[str] = None
     #: Restore this snapshot and continue the run; every build-time field
-    #: is then taken from the snapshot. Sharded, it names the checkpoint
-    #: root holding one ``shard-<k>`` directory per shard.
+    #: is then taken from the snapshot.
     resume_from: Optional[str] = None
     #: Stream full chunks of ``spill_chunk_rows`` records to columnar
     #: files under this directory, bounding the store's resident memory.
@@ -494,18 +480,14 @@ class RunSpec:
 def run_simulation(
     preset: Union[str, ScaleConfig] = "tiny",
     seed: int = 7,
-    *,
-    shard_of: Optional[tuple] = None,
     **spec_fields,
 ) -> SimulationResult:
     """Simulate ``RunSpec(preset, seed, **spec_fields)``; see
-    :class:`RunSpec` for every field and :func:`simulate` for *shard_of*."""
-    return simulate(RunSpec(preset, seed, **spec_fields), shard_of=shard_of)
+    :class:`RunSpec` for every field."""
+    return simulate(RunSpec(preset, seed, **spec_fields))
 
 
-def simulate(
-    spec: RunSpec, shard_of: Optional[tuple] = None
-) -> SimulationResult:
+def simulate(spec: RunSpec) -> SimulationResult:
     """Run one deployment as *spec* declares it.
 
     A fresh run builds the world, installs the product at every company,
@@ -513,24 +495,14 @@ def simulate(
     and any fault/crash plans, then runs the clock (see
     :func:`_finish_run`). ``resume_from`` instead restores a snapshot and
     continues it; the store is byte-identical to the uninterrupted run's.
-
-    ``shards`` > 1 hands the spec to
-    :func:`repro.experiments.sharded.run_sharded_simulation`. *shard_of*
-    ``(index, n_shards)`` is its internal marker for one shard's
-    worker.
     """
-    if shard_of is None and spec.shards is not None and spec.shards > 1:
-        from repro.experiments.sharded import run_sharded_simulation
-
-        return run_sharded_simulation(spec)
-
     started = time.perf_counter()
-    # Entered before the world build so fresh, resumed and shard-worker
-    # runs all build, run and tear down with the collector paused.
+    # Entered before the world build so fresh and resumed runs both
+    # build, run and tear down with the collector paused.
     with CollectorPause() as collector:
         resume_from = spec.resume_from
         if resume_from is None:
-            return _finish_run(_build_run(spec, shard_of), started, collector)
+            return _finish_run(_build_run(spec), started, collector)
         restore_started = time.perf_counter()
         state = load_checkpoint(resume_from)
         restore_seconds = time.perf_counter() - restore_started
@@ -544,7 +516,7 @@ def simulate(
         )
 
 
-def _build_run(spec: RunSpec, shard_of: Optional[tuple]) -> RunState:
+def _build_run(spec: RunSpec) -> RunState:
     """A fresh run's world, installations, monitor, generator, attacks
     and fault/crash plans, with the clock not yet started."""
     spec = spec.resolved()
@@ -571,15 +543,6 @@ def _build_run(spec: RunSpec, shard_of: Optional[tuple]) -> RunState:
     store = LogStore(spill=spill)
     behavior = BehaviorModel(world, calibration, streams)
     hooks = behavior.hooks()
-    shard_ctx = None
-    if shard_of is not None:
-        index, n_shards = shard_of
-        shard_map = ShardMap.from_world(world, n_shards)
-        shard_ctx = ShardContext(
-            shard_map=shard_map,
-            index=index,
-            exchange=ShardExchange(n_shards=n_shards, shard_index=index),
-        )
 
     horizon = scale.n_days * DAY
     fault_plan = None
@@ -590,15 +553,6 @@ def _build_run(spec: RunSpec, shard_of: Optional[tuple]) -> RunState:
         world.install_fault_plan(fault_plan)
     installations: dict[str, CompanyInstallation] = {}
     for company in world.companies:
-        # A shard worker instantiates only its own companies; remote
-        # companies' draws all come from per-company or replicated
-        # streams, so skipping their setup consumes nothing shared.
-        if (
-            shard_ctx is not None
-            and shard_ctx.shard_map.owner_of(company.company_id)
-            != shard_ctx.index
-        ):
-            continue
         installation = CompanyInstallation(
             config=company.config,
             simulator=simulator,
@@ -631,13 +585,12 @@ def _build_run(spec: RunSpec, shard_of: Optional[tuple]) -> RunState:
 
     generator = TraceGenerator(
         world, simulator, installations, streams,
-        batch_delivery=spec.batch_delivery, shard=shard_ctx,
+        batch_delivery=spec.batch_delivery,
     )
     generator.start(scale.n_days)
     for attack in attacks:
         attack.install(
-            world, simulator, installations, streams,
-            shard=shard_ctx, behavior=behavior,
+            world, simulator, installations, streams, behavior=behavior
         )
 
     crash_plan = None
@@ -688,14 +641,10 @@ def _finish_run(
 
     # A forked planner draws each day ahead of the engine unless the run
     # itself rules it out: attacks lease IPs at event time between
-    # campaign spawns, a snapshot must hold its own day's generator
-    # state, and a shard worker is already one of the run's processes.
+    # campaign spawns, and a snapshot must hold its own day's generator
+    # state.
     attacks = state.scenario is not None and state.scenario.attacks
-    plan_ahead = (
-        not attacks
-        and state.checkpointer is None
-        and state.generator.shard is None
-    )
+    plan_ahead = not attacks and state.checkpointer is None
     with state.generator.planning_ahead(plan_ahead):
         # Run the observation window one simulated day at a time —
         # exactly one long run, by run()'s half-open ``until`` —
@@ -742,7 +691,6 @@ def _finish_run(
         # Join any in-flight background snapshot writer: every snapshot
         # is complete on disk before the run's results are visible.
         state.checkpointer.finalize()
-    shard_ctx = getattr(state.generator, "shard", None)
     collector.close()  # the exit collection counts in wall_seconds
     return SimulationResult(
         store=state.store,
@@ -758,7 +706,6 @@ def _finish_run(
         ),
         ledger_snapshots=ledger,
         restored_from=restored_from,
-        exchange=shard_ctx.exchange if shard_ctx is not None else None,
         scenario=state.scenario,
     )
 
@@ -781,11 +728,6 @@ def _seed_newsletter_whitelists(installations, world, calibration, streams) -> N
     for source in world.newsletter_sources:
         for company_id, subscriber in source.subscribers:
             if rng.random() < calibration.newsletter_seed_prob:
-                # .get, not []: a shard worker seeds only its own
-                # companies, but the draw above already happened — every
-                # shard consumes the identical stream.
-                installation = installations.get(company_id)
-                if installation is not None:
-                    installation.seed_whitelist(
-                        subscriber, list(source.senders)
-                    )
+                installations[company_id].seed_whitelist(
+                    subscriber, list(source.senders)
+                )

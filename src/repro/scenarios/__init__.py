@@ -3,8 +3,8 @@
 Scenarios are named YAML files under ``<repo>/scenarios/`` that compose
 workload attacks, fault/crash weather, a filter-chain composition, and
 machine-checked pass/fail verdicts into one hashable
-:class:`~repro.scenarios.spec.ScenarioSpec` the runner, the sweep cache,
-and the sharded data plane all consume.
+:class:`~repro.scenarios.spec.ScenarioSpec` the runner and the sweep
+cache consume.
 """
 
 from repro.scenarios.loader import (

@@ -2,7 +2,7 @@
 
 A scenario is *data*: frozen dataclasses of scalars and tuples, so one
 spec is hashable (it folds into the sweep cache key), picklable (it
-ships to shard workers), and has a deterministic ``repr`` (two loads of
+ships to sweep workers), and has a deterministic ``repr`` (two loads of
 the same YAML produce identical cache keys). Anything live — attack
 objects, the filter chain — is built from the spec at install time via
 :meth:`ScenarioSpec.build_attacks` / :meth:`ScenarioSpec.chain_spec`.
@@ -45,7 +45,7 @@ class VerdictCheck:
     experiment's statistic (``paper.sec31.reflection_cr``);
     ``campaign``/``company_id`` scope it; the check passes when
     ``observed <op> value`` holds. A string ``value`` names another
-    metric (``shard.exchange_rows == store.mta``).
+    metric (``ledger.accepted == ledger.terminal_total``).
     """
 
     name: str

@@ -1,31 +1,14 @@
-"""One flat map of a run's counters, and the rules that merge such maps.
+"""One flat map of a run's counters.
 
 A finished run reports every counter it kept under a dotted name,
 ``<group>.<counter>`` — ``faults.greylist_deferrals``,
 ``ledger.accepted``, ``crashes.by_component.<component>`` — in one
-plain ``{name: value}`` dict (DESIGN.md "Run metrics"). The shards of
-one run each report such a map; :func:`merge` combines them into the
-run's. A name sums unless :data:`MERGE_RULES` declares otherwise.
+plain ``{name: value}`` dict (DESIGN.md "Run metrics").
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
-
-#: The names that do not sum across shards, and how they combine.
-MERGE_RULES: dict[str, Callable] = {
-    # A high-water mark: the run's peak is its largest process's.
-    "memory.max_rss_bytes": max,
-    "planner.max_rss_bytes": max,
-    # Every shard snapshots at the run's one interval.
-    "checkpoint.every": max,
-    # Each shard reports the run's own flag, so a shard that owns no
-    # company still says whether the run audited.
-    "ledger.audit": all,
-    # A plan installed in any shard is installed for the run.
-    "faults.enabled": any,
-    "crashes.enabled": any,
-}
+from typing import Mapping
 
 #: The groups a run's map holds names under.
 GROUPS = (
@@ -34,9 +17,9 @@ GROUPS = (
 )
 
 #: Names that say how a run executed, not what it measured: per-process
-#: work (every shard replays the world and trace), per-shard, per-resume
-#: snapshots, and whether a forked planner drew the trace. The rest match
-#: at any shard count, snapshot or planner.
+#: work and memory, per-resume snapshots, and whether a forked planner
+#: drew the trace. The rest match with or without a snapshot, a resume
+#: or a planner.
 EXECUTION_VARIANT = (
     "cache.", "checkpoint.", "sim.events", "memory.max_rss_bytes",
     "planner.",
@@ -49,22 +32,6 @@ def execution_invariant(metrics: Mapping) -> dict:
         name: value
         for name, value in metrics.items()
         if not name.startswith(EXECUTION_VARIANT)
-    }
-
-
-def merge(maps: Iterable[Mapping]) -> dict:
-    """Combine per-shard metrics maps into the run's one map.
-
-    A name missing from some maps (a component that crashed only in
-    another shard) combines over the maps that have it.
-    """
-    maps = list(maps)
-    names = dict.fromkeys(name for metrics in maps for name in metrics)
-    return {
-        name: MERGE_RULES.get(name, sum)(
-            metrics[name] for metrics in maps if name in metrics
-        )
-        for name in names
     }
 
 

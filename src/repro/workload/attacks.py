@@ -14,13 +14,9 @@ names two in §6 / "Other Limitations":
 This module generalises those two into a family of attack classes the
 declarative scenario pack (``scenarios/*.yaml``, see
 :mod:`repro.scenarios`) instantiates by kind name through
-:func:`build_attack`. Every attack obeys the replicated-trace invariant
-of the sharded data plane (DESIGN.md §12): ``install`` and the per-day
-planning draws run identically on every shard — counts, arrival times,
-forged payloads, message-id and attacker-IP allocation all come from the
-attack's own named RNG stream — and only the *delivery* of each message
-is gated on whether this shard owns the victim company. A sharded
-scenario run therefore merges to the same store digest as ``shards=1``.
+:func:`build_attack`. Every attack draws from its own named RNG stream
+— counts, arrival times, forged payloads and attacker-IP allocation — so
+a scenario run is deterministic in its seed.
 """
 
 from __future__ import annotations
@@ -59,17 +55,10 @@ class AttackScenario:
         installations: Mapping[str, CompanyInstallation],
         streams: RngStreams,
         *,
-        shard=None,
         behavior=None,
     ) -> None:
         """Arm the attack: validate it, allocate this run's attacker
-        infrastructure, and schedule one planning event per attack day.
-
-        In a sharded run (*shard* set) every worker installs the attack —
-        planning draws must stay lock-step across replicas — but only the
-        shard owning the victim company holds an installation and
-        actually delivers the forged mail.
-        """
+        infrastructure, and schedule one planning event per attack day."""
         company = None
         for candidate in world.companies:
             if candidate.company_id == self.company_id:
@@ -95,7 +84,7 @@ class AttackScenario:
                 "past the end would silently never fire"
             )
         installation = installations.get(self.company_id)
-        if installation is None and shard is None:
+        if installation is None:
             raise KeyError(
                 f"company {self.company_id!r} exists in the world but has "
                 "no installation; world and installations disagree"
@@ -132,16 +121,12 @@ class AttackScenario:
     def _plan_day(
         self, world, simulator, installation, company, rng, day
     ) -> None:
-        # Replicated-trace invariant: the draws below (count, times,
-        # forged payloads, msg ids) happen unconditionally on every
-        # shard; only the local owner schedules the delivery.
         for _ in range(poisson(rng, self.messages_per_day)):
             t = day * DAY + rng.uniform(0, DAY)
             message = self._forge(world, company, rng, t)
-            if installation is not None:
-                simulator.schedule(
-                    t, partial(installation.handle_inbound, message)
-                )
+            simulator.schedule(
+                t, partial(installation.handle_inbound, message)
+            )
 
     def _forge(self, world, company, rng, t):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -33,9 +33,9 @@ class BehaviorModel:
 
     Draws come from one stream **per company** (``behavior/<company_id>``),
     not a single shared stream consumed in global event order: a company's
-    human behaviour must depend only on that company's own events, so a
-    sharded run — where each worker only executes its own companies'
-    events — draws the identical sequence a whole-world run draws.
+    human behaviour depends only on that company's own events. (The split
+    dates from intra-run sharding, since retired; merging the streams
+    back would change every run's output.)
     """
 
     def __init__(
@@ -158,8 +158,8 @@ class BehaviorModel:
         solver: tuple,
     ) -> None:
         """An attack operator (CAPTCHA farm, poisoner) answering its own
-        challenges. Draws come from the victim company's behaviour stream
-        so sharded runs replay them identically."""
+        challenges. Draws come from the victim company's behaviour
+        stream."""
         solve_prob, delay_min, delay_max = solver
         rng = self._rng_for(installation)
         if rng.random() < solve_prob:

@@ -42,7 +42,6 @@ from repro.core.message import (
     SenderClass,
     allocate_msg_id_block,
 )
-from repro.net.exchange import ShardContext
 from repro.sim.engine import Simulator
 from repro.util.rng import RngStreams, poisson
 from repro.util.simtime import DAY, HOUR, is_weekend
@@ -68,7 +67,6 @@ class TraceGenerator:
         installations: Mapping[str, CompanyInstallation],
         streams: RngStreams,
         batch_delivery: bool = True,
-        shard: Optional[ShardContext] = None,
     ) -> None:
         self.world = world
         self.calibration = world.calibration
@@ -82,31 +80,19 @@ class TraceGenerator:
             for index, company in enumerate(world.companies)
         }
         self._installation_at = [
-            self.installations.get(company.company_id)
+            self.installations[company.company_id]
             for company in world.companies
         ]
         #: Delivery actions by handler token: token ``c`` is company
         #: ``c``'s ``handle_inbound``, token ``n + c`` its
-        #: ``refuse_at_door`` (see :meth:`_doors`); ``None`` for another
-        #: shard's company. Bound once.
+        #: ``refuse_at_door`` (see :meth:`_doors`). Bound once.
         self._actions = [
-            installation.handle_inbound if installation is not None else None
+            installation.handle_inbound
             for installation in self._installation_at
         ] + [
-            installation.refuse_at_door if installation is not None else None
+            installation.refuse_at_door
             for installation in self._installation_at
         ]
-        #: Sharded mode (DESIGN.md §12): *installations* covers only this
-        #: shard's companies, but every company's draws are still consumed
-        #: in the replicated order, and dispatch turns remote rows into
-        #: exchange-manifest entries rather than deliveries. ``_owners``
-        #: maps each company index to its owning shard.
-        self.shard = shard
-        if shard is not None:
-            self._owners = [
-                shard.shard_map.owner_of(company.company_id)
-                for company in world.companies
-            ]
         #: False = stage and sort days exactly the same way, but schedule
         #: each message as its own heap entry. Exists so tests can pin
         #: batched ≡ unbatched behaviour; not a production mode.
@@ -246,8 +232,9 @@ class TraceGenerator:
         plan = DayPlan(day)
         self._rows = plan.rows
         self._companies = plan.handlers
-        for company in self.world.companies:
-            installation = self.installations.get(company.company_id)
+        for company, installation in zip(
+            self.world.companies, self._installation_at
+        ):
             self._plan_user_mail(company, installation, day, legit_factor)
             self._plan_spam(company, day, spam_factor)
         self._plan_newsletters(day)
@@ -259,7 +246,7 @@ class TraceGenerator:
         return plan
 
     def _precheck(self, plan: DayPlan) -> None:
-        """One DNS-independent MTA sweep per local company's rows."""
+        """One DNS-independent MTA sweep per company's rows."""
         groups: dict = {}
         groups_get = groups.get
         for position, company in enumerate(plan.handlers):
@@ -270,10 +257,7 @@ class TraceGenerator:
         rows = plan.rows
         hints = [None] * len(rows)
         for company, positions in groups.items():
-            installation = self._installation_at[company]
-            if installation is None:  # another shard's company
-                continue
-            swept = installation.mta_in.precheck_batch(
+            swept = self._installation_at[company].mta_in.precheck_batch(
                 [rows[position] for position in positions]
             )
             for position, hint in zip(positions, swept):
@@ -289,14 +273,8 @@ class TraceGenerator:
         ``DoorRow`` instead of ``handle_inbound`` with a message
         (DESIGN.md §19)."""
         replay(self, plan.ops)
-        # Ids are assigned by generation position, and the block covers
-        # *all* companies' rows, so a shard's local ids match the
-        # unsharded run's allocation bit-for-bit.
         first = allocate_msg_id_block(len(plan.rows))
-        keep = None
-        if self.shard is not None:
-            keep = self._record_epoch(plan, first, day)
-        times, tokens, messages = plan.materialize(first, keep, self._doors())
+        times, tokens, messages = plan.materialize(first, self._doors())
         if not messages:
             return
         self.messages_generated += len(messages)
@@ -312,45 +290,16 @@ class TraceGenerator:
 
     def _doors(self) -> Optional[list]:
         """Each company index's door token, or ``None`` where every row
-        must reach ``handle_inbound``: another shard's company, or an
-        installation with a crash plan, whose dispatcher-down deferral
-        needs the message. ``None`` when no company has a door (a crash
-        run: the plan arms every installation)."""
+        must reach ``handle_inbound``: an installation with a crash plan,
+        whose dispatcher-down deferral needs the message. ``None`` when
+        no company has a door (a crash run: the plan arms every
+        installation)."""
         n = len(self._installation_at)
         doors = [
-            n + index
-            if installation is not None and installation.crash_plan is None
-            else None
+            n + index if installation.crash_plan is None else None
             for index, installation in enumerate(self._installation_at)
         ]
         return doors if any(door is not None for door in doors) else None
-
-    def _record_epoch(self, plan: DayPlan, first: int, day: int) -> list:
-        """Record every row — local or remote — in the day's
-        exchange-manifest epoch in the same ``(t, msg_id)`` order each
-        peer shard computes, so the driver can prove the replicated traces
-        agreed before merging stores. Returns the positions of the rows
-        this shard owns."""
-        exchange = self.shard.exchange
-        local = self.shard.index
-        owners = self._owners
-        exchange.open_epoch(day)
-        # Append straight into the epoch's per-owner columns: this loop
-        # walks every row of the replicated trace, so even one method
-        # call per row is measurable at scale.
-        cells = exchange.open_cells
-        keep = []
-        for position, (row, i, company) in enumerate(
-            zip(plan.rows, plan.order, plan.handlers)
-        ):
-            owner = owners[company]
-            cell_ts, cell_ids = cells[owner]
-            cell_ts.append(row[0])
-            cell_ids.append(first + i)
-            if owner == local:
-                keep.append(position)
-        exchange.close_epoch()
-        return keep
 
     # -- legitimate / user-driven traffic ----------------------------------
 
@@ -431,17 +380,14 @@ class TraceGenerator:
                 rng, cal.sociality_manual_share * user.sociality * legit_factor
             )
             for _ in range(manual):
-                # Draws happen unconditionally (the replicated-trace
-                # invariant); only the local shard schedules the event.
                 address, _ip = self.world.create_new_contact(rng)
                 t = self._day_time(day, legit=True)
-                if installation is not None:
-                    self.simulator.schedule(
-                        t,
-                        partial(
-                            installation.manual_whitelist, user.address, address
-                        ),
-                    )
+                self.simulator.schedule(
+                    t,
+                    partial(
+                        installation.manual_whitelist, user.address, address
+                    ),
+                )
 
     def _stage_legit(
         self, company_index, user, sender: str, day: int, size: int
@@ -510,16 +456,12 @@ class TraceGenerator:
         self, installation, user, rcpt: str, day: int
     ) -> None:
         # Draw order matches the historical inline call: arrival time from
-        # the trace stream first, then the size stream. Both draws happen
-        # even when the company lives on another shard (replicated-trace
-        # invariant); only the local shard schedules the delivery.
+        # the trace stream first, then the size stream.
         t = self._day_time(day, legit=True)
         size = self.size_model.legit()
-        if installation is not None:
-            self.simulator.schedule(
-                t,
-                partial(installation.send_user_mail, user.local, rcpt, size),
-            )
+        self.simulator.schedule(
+            t, partial(installation.send_user_mail, user.local, rcpt, size)
+        )
 
     # -- newsletters ---------------------------------------------------------
 
@@ -537,8 +479,7 @@ class TraceGenerator:
             volume = self.world.scale.volume_scale
             for company_id, subscriber in source.subscribers:
                 # Newsletter volume scales with the preset like every other
-                # inbound stream. The roll precedes the routing lookup so
-                # remote subscribers consume the identical draws.
+                # inbound stream.
                 if self.rng.random() >= volume:
                     continue
                 company_index = self._company_index[company_id]

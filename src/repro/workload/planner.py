@@ -32,8 +32,7 @@ pickle already writes a value repeated within a day once, and enum
 members unpickle as the same objects.
 
 Planning stays in-process when :func:`can_fork_planner` says no, or
-when the run shows attacks, checkpoint writes or a shard of its own
-(see :meth:`TraceGenerator.planning_ahead`).
+when the run shows attacks or checkpoint writes (see :meth:`TraceGenerator.planning_ahead`).
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class PlannerError(RuntimeError):
 def can_fork_planner() -> bool:
     """Whether this process can plan on a second core: it has
     ``os.fork``, at least two usable CPUs, and is not itself a worker of
-    a process pool (shard workers, ``jobs>1`` sweep workers)."""
+    a process pool (``jobs>1`` sweep workers)."""
     if not hasattr(os, "fork") or multiprocessing.parent_process() is not None:
         return False
     try:

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,30 @@ def _service(threshold=2, window=DAY, base=DAY, escalation=2.0, max_d=30 * DAY):
             max_duration=max_d,
         ),
     )
+
+
+class _Recording(DnsblService):
+    """Keeps every trap-triggered listing as ``(listed_from,
+    listed_until)``, for the policy tests that need the whole history."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.listings = []
+
+    def _list(self, ip, state, now):
+        super()._list(ip, state, now)
+        self.listings.append((state.listed_from, state.listed_until))
+
+
+def _listed_time(spans, horizon: float) -> float:
+    """Seconds within ``[0, horizon]`` covered by the union of *spans*."""
+    total, end = 0.0, 0.0
+    for start, until in sorted(spans):
+        start, until = max(start, end), min(until, horizon)
+        if until > start:
+            total += until - start
+            end = until
+    return total
 
 
 class TestTrapDirectory:
@@ -85,26 +110,31 @@ class TestListingPolicy:
     def test_relisting_escalates_duration(self):
         service = _service(threshold=1, base=DAY, escalation=2.0)
         service.record_trap_hit("1.1.1.1", 0.0)
-        first = service.listed_intervals("1.1.1.1")[0]
-        assert first.listed_until - first.listed_at == DAY
+        assert service.is_listed("1.1.1.1", DAY - 1)
+        assert not service.is_listed("1.1.1.1", DAY)
         # Second listing, after the first expired.
         service.record_trap_hit("1.1.1.1", 3 * DAY)
-        second = service.listed_intervals("1.1.1.1")[1]
-        assert second.listed_until - second.listed_at == 2 * DAY
+        state = service._state["1.1.1.1"]
+        assert (state.listings, state.listed_from, state.listed_until) == (
+            2, 3 * DAY, 5 * DAY
+        )
+        assert service.is_listed("1.1.1.1", 5 * DAY - 1)
+        assert not service.is_listed("1.1.1.1", 5 * DAY)
 
     def test_escalation_capped_at_max(self):
         service = _service(threshold=1, base=DAY, escalation=10.0, max_d=3 * DAY)
         service.record_trap_hit("1.1.1.1", 0.0)
         service.record_trap_hit("1.1.1.1", 2 * DAY)  # expired? no: still listed
         service.record_trap_hit("1.1.1.1", 5 * DAY)
-        last = service.listed_intervals("1.1.1.1")[-1]
-        assert last.listed_until - last.listed_at <= 3 * DAY
+        state = service._state["1.1.1.1"]
+        assert state.listed_until - state.listed_from <= 3 * DAY
 
     def test_hits_while_listed_do_not_relist(self):
         service = _service(threshold=1, base=5 * DAY)
         service.record_trap_hit("1.1.1.1", 0.0)
         service.record_trap_hit("1.1.1.1", 1 * DAY)
-        assert len(service.listed_intervals("1.1.1.1")) == 1
+        state = service._state["1.1.1.1"]
+        assert (state.listings, state.listed_until) == (1, 5 * DAY)
 
     def test_ips_are_independent(self):
         service = _service(threshold=1)
@@ -117,17 +147,17 @@ class TestListingPolicy:
         assert service.is_listed("3.3.3.3", 5 * DAY)
         assert not service.is_listed("3.3.3.3", 11 * DAY)
 
-    def test_total_listed_time_merges_overlaps(self):
+    def test_overlapping_listings_merge_into_listed_days(self):
+        listings = [(0.0, 2 * DAY), (1 * DAY, 2 * DAY), (10 * DAY, DAY)]
         service = _service()
-        service.force_list("4.4.4.4", 0.0, 2 * DAY)
-        service.force_list("4.4.4.4", 1 * DAY, 2 * DAY)  # overlaps
-        service.force_list("4.4.4.4", 10 * DAY, DAY)
-        assert service.total_listed_time("4.4.4.4", 30 * DAY) == 4 * DAY
+        for now, duration in listings[:2]:  # overlapping
+            service.force_list("4.4.4.4", now, duration)
+        assert service.is_listed("4.4.4.4", 3 * DAY - 1)
+        assert not service.is_listed("4.4.4.4", 3 * DAY)
+        assert _probed_listed_days("4.4.4.4", 30 * DAY, listings) == 4.0
 
-    def test_total_listed_time_clipped_at_horizon(self):
-        service = _service()
-        service.force_list("4.4.4.4", 0.0, 10 * DAY)
-        assert service.total_listed_time("4.4.4.4", 5 * DAY) == 5 * DAY
+    def test_listed_days_clipped_at_horizon(self):
+        assert _probed_listed_days("4.4.4.4", 5 * DAY, [(0.0, 10 * DAY)]) == 5.0
 
     @given(
         st.lists(
@@ -142,16 +172,31 @@ class TestListingPolicy:
         extra_hits = sorted(base_hits + [15 * DAY])
         horizon = 120 * DAY
 
-        a = _service(threshold=2)
+        policy = _service(threshold=2).policy
+        a = _Recording("test-rbl", policy)
         for t in base_hits:
             a.record_trap_hit("9.9.9.9", t)
-        b = _service(threshold=2)
+        b = _Recording("test-rbl", policy)
         for t in extra_hits:
             b.record_trap_hit("9.9.9.9", t)
         # Tolerance absorbs float rounding in interval merging.
-        assert b.total_listed_time("9.9.9.9", horizon) >= (
-            a.total_listed_time("9.9.9.9", horizon) - 1e-5
+        assert _listed_time(b.listings, horizon) >= (
+            _listed_time(a.listings, horizon) - 1e-5
         )
+
+
+def _probed_listed_days(ip: str, horizon: float, listings) -> float:
+    """Days the §5.1 probe sees *ip* listed, probing until *horizon*,
+    with each ``(time, duration)`` of *listings* force-listed at its
+    time."""
+    service = _service()
+    simulator = Simulator()
+    for now, duration in listings:
+        simulator.schedule(now, partial(service.force_list, ip, now, duration))
+    monitor = BlacklistMonitor(simulator, [service], [ip], interval=4 * HOUR)
+    monitor.start(until=horizon)
+    simulator.run()
+    return monitor.listed_days(ip)
 
 
 class _EagerService(DnsblService):
@@ -217,12 +262,6 @@ class TestLazyPreListings:
         )
 
     def _assert_same(self, lazy, eager):
-        assert lazy.history == eager.history
-        for ip in _POOL:
-            assert lazy.listed_intervals(ip) == eager.listed_intervals(ip)
-            assert lazy.total_listed_time(ip, 10 * DAY) == (
-                eager.total_listed_time(ip, 10 * DAY)
-            )
         assert (lazy.queries, lazy.cache_hits, lazy.cache_misses) == (
             eager.queries, eager.cache_hits, eager.cache_misses
         )
@@ -258,7 +297,9 @@ class TestLazyPreListings:
         }
         restored = pickle.loads(pickle.dumps(lazy))
         assert restored._pending == lazy._pending
-        assert restored.history == eager.history
+        assert _materialised_state(
+            pickle.loads(pickle.dumps(restored))
+        ) == eager._state
         assert restored.is_listed("1.0.0.1", HOUR)
         assert set(restored._state) == {"1.0.0.1"}
         assert set(restored._pending) == {"1.0.0.2"}

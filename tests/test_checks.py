@@ -38,7 +38,7 @@ def test_groups_name_every_run_metric(tiny_result):
 @pytest.mark.parametrize("metric, value", [
     ("faults.greylist_deferals", 0),  # misspelt counter
     ("faults.GROUP", 0),  # a view attribute, not a metric
-    ("shard.exchange_rows", 0),  # no shard costs on an unsharded run
+    ("shard.exchange_rows", 0),  # no such group
     ("store.no_such_table", 0),
     ("ledger.accepted", "ledger.no_such_total"),  # unknown named value
     ("paper.fig3.no_such_field", 0),  # a known experiment, unknown path
@@ -63,7 +63,7 @@ def _check(tmp_path, name: str, body: str) -> str:
 def test_true_check_exits_zero(tmp_path, capsys):
     holds = _check(tmp_path, "holds", (
         "same_as:\n"
-        "  - {shards: 2, shard_jobs: 1}\n"
+        "  - {batch_delivery: false}\n"
         "verdicts:\n"
         "  - {name: a, metric: faults.conserved, op: '==', value: true}\n"
         "  - {name: b, metric: ledger.accepted, op: '==',"
@@ -73,7 +73,7 @@ def test_true_check_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "faults.messages_sent" in out  # the metrics map
     assert "VERDICT: PASS (2/2 checks)" in out
-    assert "same_as shards=2 shard_jobs=1: PASS" in out
+    assert "same_as batch_delivery=False: PASS" in out
     assert "check holds: PASS" in out
 
 

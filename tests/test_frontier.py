@@ -219,7 +219,7 @@ def test_cell_rates_and_evaluated_flag():
     assert empty.false_negative_rate == 0.0
 
 
-# -- streaming: spilled and sharded stores ------------------------------------
+# -- streaming: spilled stores -----------------------------------------------
 
 
 def _fill(store, rows):
@@ -257,15 +257,6 @@ def test_spilled_store_delivery_counts_match_in_memory(tmp_path):
     assert spilled.dispatch.bytes_spilled > 0  # really on disk
 
     assert delivery_counts(spilled) == delivery_counts(plain)
-
-
-def test_sharded_store_delivery_counts_match_plain(tiny_result):
-    from repro.experiments import run_simulation
-
-    sharded = run_simulation("tiny", seed=7, shards=2, shard_jobs=1)
-    assert delivery_counts(sharded.store) == delivery_counts(
-        tiny_result.store
-    )
 
 
 def test_spilled_delivery_counts_peak_memory_is_bounded(tmp_path):

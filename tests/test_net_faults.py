@@ -292,9 +292,11 @@ class TestDnsblLag:
         service = DnsblService("rbl", self.POLICY)
         service.record_trap_hit("198.51.100.9", now=0.0)
         assert service.is_listed("198.51.100.9", now=0.0) is True
-        interval = service.listed_intervals("198.51.100.9")[0]
-        assert interval.listed_at == 0.0
-        assert interval.listed_until == DAY
+        state = service._state["198.51.100.9"]
+        assert state.listed_from == 0.0
+        assert state.listed_until == DAY
+        assert service.is_listed("198.51.100.9", now=DAY - 1) is True
+        assert service.is_listed("198.51.100.9", now=DAY) is False
 
     def test_plan_lags_fall_in_configured_ranges(self):
         plan = FaultPlan(

@@ -217,8 +217,6 @@ ALTERNATE_VALUES = {
     "chain": "hybrid",
     "checkpoint_every": DAY,
     "batch_delivery": False,
-    "shards": 2,
-    "shard_jobs": 1,
     "checkpoint_dir": "ckpt",
     "resume_from": "ckpt/snapshot.pkl",
     "spill_dir": "spill",

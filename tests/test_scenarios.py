@@ -57,7 +57,7 @@ class TestShippedPack:
         assert spec.attacks, "every pack scenario declares an attack"
         assert spec.verdicts, "every pack scenario declares verdicts"
         hash(spec)  # cache-key ingredient: must be hashable
-        clone = pickle.loads(pickle.dumps(spec))  # ships to shard workers
+        clone = pickle.loads(pickle.dumps(spec))  # ships to sweep workers
         assert clone == spec
 
     @pytest.mark.parametrize("name", scenario_names())
