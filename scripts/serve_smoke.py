@@ -30,11 +30,6 @@ from repro.serve.chaos import ChaosError, run_chaos
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kills", type=int, default=20)
-    parser.add_argument("--preset", default="tiny")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--rng-seed", type=int, default=1234)
-    parser.add_argument("--rate", type=float, default=300.0)
-    parser.add_argument("--messages-per-burst", type=int, default=150)
     parser.add_argument("--artifact", default="serve_smoke_report.json")
     parser.add_argument(
         "--workdir",
@@ -45,17 +40,7 @@ def main(argv=None) -> int:
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="serve_smoke_")
     try:
-        report = asyncio.run(
-            run_chaos(
-                workdir,
-                kills=args.kills,
-                preset=args.preset,
-                seed=args.seed,
-                rng_seed=args.rng_seed,
-                rate=args.rate,
-                messages_per_burst=args.messages_per_burst,
-            )
-        )
+        report = asyncio.run(run_chaos(workdir, kills=args.kills))
     except ChaosError as exc:
         print(f"CHAOS GATE FAILED: {exc}", file=sys.stderr)
         return 1

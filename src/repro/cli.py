@@ -199,19 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="X",
         help="simulated seconds per wall second (default: 1.0)",
     )
-    serve_parser.add_argument(
-        "--queue-size", type=int, default=256, help="admission queue bound"
-    )
-    serve_parser.add_argument(
-        "--batch-max", type=int, default=64, help="WAL group-commit batch cap"
-    )
-    serve_parser.add_argument(
-        "--engine-delay",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="artificial per-message engine cost (overload experiments)",
-    )
 
     stress_parser = subparsers.add_parser(
         "sstress", help="open-loop load generator against a live server"
@@ -511,9 +498,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             web_port=args.web_port,
             endpoints_file=args.endpoints_file,
             time_scale=args.time_scale,
-            queue_size=args.queue_size,
-            batch_max=args.batch_max,
-            engine_delay=args.engine_delay,
         )
     )
 

@@ -161,6 +161,23 @@ _TERMINAL_BUCKETS = (
     "pending_at_horizon",
 )
 
+#: The per-company ledger counters that ``ledger.*`` sums.
+LEDGER_COUNTERS = (
+    ("accepted", "quarantined_total", "in_quarantine") + _TERMINAL_BUCKETS
+)
+
+
+def ledger_metrics(snapshots) -> dict:
+    """The ``ledger.*`` sums of *snapshots*: each of
+    :data:`LEDGER_COUNTERS`, and the stranded messages. A run's end and
+    the live service's reconciliation both read the ledgers this way."""
+    metrics = {
+        f"ledger.{name}": sum(getattr(s, name) for s in snapshots)
+        for name in LEDGER_COUNTERS
+    }
+    metrics["ledger.stranded"] = sum(len(s.stranded) for s in snapshots)
+    return metrics
+
 
 def collect_metrics(
     world: Optional[World] = None,
@@ -208,11 +225,7 @@ def collect_metrics(
         return metrics
 
     metrics["ledger.audit"] = state.audit
-    for name in (
-        ("accepted", "quarantined_total", "in_quarantine") + _TERMINAL_BUCKETS
-    ):
-        metrics[f"ledger.{name}"] = sum(getattr(s, name) for s in ledger)
-    metrics["ledger.stranded"] = sum(len(s.stranded) for s in ledger)
+    metrics.update(ledger_metrics(ledger))
     metrics["ledger.leaked_challenge_slots"] = sum(
         inst.challenge_manager.pending_count for inst in installations.values()
     )

@@ -1,17 +1,15 @@
-"""Admission control for the live frontend: bounded queue accounting and
-the graceful-degradation ladder.
+"""Admission control for the live frontend: the graceful-degradation
+ladder.
 
 The admission queue itself is a plain bounded ``asyncio.Queue`` owned by
-:class:`~repro.serve.service.LiveCrService`; this module holds the two
-pieces of policy around it:
-
-* :class:`LiveStats` — every counter the health/stats endpoints and the
-  load generator report against;
-* :class:`DegradationLadder` — queue-depth-driven shed level with
-  hysteresis, so sustained overload degrades the pipeline *in stages*
-  (full chain → chain minus auxiliary members → quarantine-by-default)
-  and load removal walks it back up. Every transition is recorded, which
-  is what makes the ladder observable and reversible rather than folklore.
+:class:`~repro.serve.service.LiveCrService`, which also counts its
+refusals (``admission.*`` in the service's metrics map). This module
+holds the policy around it: :class:`DegradationLadder`, a
+queue-depth-driven shed level with hysteresis, so sustained overload
+degrades the pipeline *in stages* (full chain → chain minus auxiliary
+members → quarantine-by-default) and load removal walks it back up.
+Every transition is recorded, which is what makes the ladder observable
+and reversible rather than folklore.
 """
 
 from __future__ import annotations
@@ -25,40 +23,6 @@ from typing import List, Tuple
 #: without chain or challenge. Nothing is ever silently dropped at any
 #: level — deeper levels trade *classification quality* for throughput.
 MAX_SHED_LEVEL = 2
-
-
-@dataclass
-class LiveStats:
-    """Counters the live service exposes via ``/stats``."""
-
-    #: Messages acknowledged with 250 (WAL-durable by construction).
-    acked: int = 0
-    #: Envelopes tempfailed with 421 because the admission queue was full.
-    refused_full: int = 0
-    #: Envelopes tempfailed with 421 because a phase deadline expired.
-    refused_deadline: int = 0
-    #: Accepted-then-dropped by the engine's MTA-IN checks (5xx replied).
-    mta_dropped: int = 0
-    #: RCPTs refused at the door: no installation accepts the domain.
-    unrouted_rcpts: int = 0
-    #: Envelope addresses rejected as malformed (501).
-    malformed: int = 0
-    #: Web mutations journaled and applied.
-    web_applied: int = 0
-    #: Web mutations that were stale/unknown by apply time (counted, not
-    #: errors — the legal race with expiry and digests).
-    web_stale: int = 0
-    #: Message payload bytes accepted.
-    bytes_in: int = 0
-    #: WAL group-commit batches and the records they covered.
-    fsync_batches: int = 0
-    fsync_records: int = 0
-    #: SMTP sessions opened / currently open.
-    sessions: int = 0
-    sessions_open: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -108,4 +72,4 @@ class DegradationLadder:
         ]
 
 
-__all__ = ["DegradationLadder", "LiveStats", "MAX_SHED_LEVEL"]
+__all__ = ["DegradationLadder", "MAX_SHED_LEVEL"]

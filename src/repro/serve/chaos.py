@@ -31,35 +31,20 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.serve.sstress import StressConfig, run_stress
+from repro.serve.sstress import StressConfig, http_get, run_stress
 
 #: How long to wait for the subprocess to announce its ports and pass
 #: /readyz. World building at the test presets takes low seconds; CI
 #: shared runners get generous slack.
 START_DEADLINE = 120.0
+#: Load-generator connections per burst, and the span of a burst's
+#: nominal length within which a round's SIGKILL lands.
+CONNECTIONS = 6
+KILL_WINDOW = (0.10, 0.45)
 
 
 class ChaosError(AssertionError):
     """A conservation or liveness assertion failed."""
-
-
-async def _http_json(host: str, port: int, path: str, deadline: float = 10.0):
-    """Status + parsed JSON body for a one-shot GET."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), deadline
-    )
-    try:
-        writer.write(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), deadline)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    return int(head.split(b" ")[1]), json.loads(body)
 
 
 @dataclass
@@ -71,9 +56,6 @@ class ServerProcess:
     preset: str = "tiny"
     seed: int = 7
     time_scale: float = 200.0
-    queue_size: int = 256
-    batch_max: int = 64
-    engine_delay: float = 0.0
     host: str = "127.0.0.1"
     smtp_port: int = 0
     web_port: int = 0
@@ -101,12 +83,6 @@ class ServerProcess:
             self.endpoints_file,
             "--time-scale",
             str(self.time_scale),
-            "--queue-size",
-            str(self.queue_size),
-            "--batch-max",
-            str(self.batch_max),
-            "--engine-delay",
-            str(self.engine_delay),
             env=env,
             stdout=asyncio.subprocess.PIPE,
         )
@@ -125,7 +101,7 @@ class ServerProcess:
         self.web_port = self.endpoints["web_port"]
         while True:
             try:
-                status, _ = await _http_json(self.host, self.web_port, "/readyz")
+                status, _ = await http_get(self.host, self.web_port, "/readyz")
                 if status == 200:
                     break
             except (ConnectionError, OSError, asyncio.TimeoutError):
@@ -136,7 +112,7 @@ class ServerProcess:
         return self.endpoints
 
     async def stats(self) -> dict:
-        status, body = await _http_json(self.host, self.web_port, "/stats")
+        status, body = await http_get(self.host, self.web_port, "/stats")
         if status != 200:
             raise ChaosError(f"/stats returned HTTP {status}")
         return body
@@ -169,19 +145,15 @@ async def run_chaos(
     workdir: str,
     *,
     kills: int = 20,
-    preset: str = "tiny",
-    seed: int = 7,
     rng_seed: int = 1234,
     rate: float = 300.0,
     messages_per_burst: int = 150,
-    time_scale: float = 200.0,
-    kill_window: tuple = (0.10, 0.45),
-    connections: int = 6,
 ) -> dict:
     """*kills* rounds of boot → open-loop burst → randomized SIGKILL →
     restart → ledger reconciliation, then one clean burst for throughput
-    numbers and a graceful shutdown. Raises :class:`ChaosError` on any
-    conservation violation; returns the full report otherwise."""
+    numbers, its ``/stats`` (``clean_stats``) and a graceful shutdown.
+    Raises :class:`ChaosError` on any conservation violation; returns the
+    full report otherwise."""
     rng = random.Random(rng_seed)
     wal_path = os.path.join(workdir, "chaos.wal")
     endpoints_file = os.path.join(workdir, "endpoints.json")
@@ -206,10 +178,7 @@ async def run_chaos(
         last_accepted = accepted
 
     for round_index in range(kills):
-        server = ServerProcess(
-            wal_path, endpoints_file, preset=preset, seed=seed,
-            time_scale=time_scale,
-        )
+        server = ServerProcess(wal_path, endpoints_file)
         await server.start()
         stats = await server.stats()
         _check_restart(stats["reconciliation"], f"restart before round {round_index}")
@@ -223,13 +192,13 @@ async def run_chaos(
                     web_port=server.web_port,
                     rate=rate,
                     messages=messages_per_burst,
-                    connections=connections,
+                    connections=CONNECTIONS,
                     seed=rng_seed + round_index,
                 ),
                 stop=stop,
             )
         )
-        kill_after = rng.uniform(*kill_window) * (messages_per_burst / rate)
+        kill_after = rng.uniform(*KILL_WINDOW) * (messages_per_burst / rate)
         await asyncio.sleep(kill_after)
         await server.kill9()
         stop.set()
@@ -248,9 +217,7 @@ async def run_chaos(
 
     # Verification boot: replay everything the murders left behind, then a
     # clean throughput burst and a graceful drain.
-    server = ServerProcess(
-        wal_path, endpoints_file, preset=preset, seed=seed, time_scale=time_scale
-    )
+    server = ServerProcess(wal_path, endpoints_file)
     await server.start()
     stats = await server.stats()
     _check_restart(stats["reconciliation"], "final restart")
@@ -260,11 +227,12 @@ async def run_chaos(
             web_port=server.web_port,
             rate=rate,
             messages=messages_per_burst,
-            connections=connections,
+            connections=CONNECTIONS,
             seed=rng_seed - 1,
         )
     )
     cumulative_acked += clean["acked"]
+    clean_stats = await server.stats()
     outcome = await server.terminate()
     if outcome["exit_code"] != 0:
         raise ChaosError(f"graceful shutdown exited rc={outcome['exit_code']}")
@@ -287,6 +255,7 @@ async def run_chaos(
             1 for r in rounds if r["torn_tail_bytes_on_boot"]
         ),
         "clean_burst": clean,
+        "clean_stats": clean_stats,
     }
 
 

@@ -6,9 +6,10 @@ an *endpoints file* (ports default to 0 = OS-assigned, so parallel test
 runs never collide), and then waits for SIGTERM/SIGINT. Graceful
 shutdown drains the admission queue through the engine — every envelope
 that was 250-acked or queued gets applied — then closes the WAL and
-prints the final reconciliation as JSON on stdout, exiting 0 only if the
-ledgers reconciled. SIGKILL skips all of that by definition; that path
-is covered by WAL replay on the next boot, which is the entire point.
+prints the final reconciliation as JSON on stdout and the final metrics
+map on stderr, exiting 0 only if the ledgers reconciled. SIGKILL skips
+all of that by definition; that path is covered by WAL replay on the
+next boot, which is the entire point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 from repro.serve.service import LiveCrService
 from repro.serve.smtp_server import SmtpFrontend
 from repro.serve.web import WebFrontend
+from repro.util.metrics import format_metrics
 
 
 async def serve_forever(
@@ -35,21 +37,9 @@ async def serve_forever(
     web_port: int = 0,
     endpoints_file: Optional[str] = None,
     time_scale: float = 1.0,
-    queue_size: int = 256,
-    batch_max: int = 64,
-    engine_delay: float = 0.0,
-    ready_event: Optional[asyncio.Event] = None,
 ) -> int:
     """Run the service until SIGTERM/SIGINT; returns the exit code."""
-    service = LiveCrService(
-        preset,
-        seed,
-        wal_path,
-        queue_size=queue_size,
-        batch_max=batch_max,
-        time_scale=time_scale,
-        engine_delay=engine_delay,
-    )
+    service = LiveCrService(preset, seed, wal_path, time_scale=time_scale)
     service.recover()
     await service.start()
     smtp = SmtpFrontend(service, host, smtp_port)
@@ -79,8 +69,6 @@ async def serve_forever(
         file=sys.stderr,
         flush=True,
     )
-    if ready_event is not None:
-        ready_event.set()
 
     stop = asyncio.get_running_loop().create_future()
 
@@ -100,6 +88,11 @@ async def serve_forever(
         await web.close()
         await service.close()
     final = service.reconcile()
+    print(
+        "serve: final metrics\n" + format_metrics(service.metrics()),
+        file=sys.stderr,
+        flush=True,
+    )
     print(json.dumps({"shutdown": final}), flush=True)
     return 0 if final["reconciled"] else 3
 

@@ -41,15 +41,19 @@ from repro.core.filters.reputation import SenderReputationFilter
 from repro.core.message import EmailMessage, MessageKind, SenderClass, reset_msg_ids
 from repro.core.mta_in import DropReason
 from repro.experiments.runner import (
+    LEDGER_COUNTERS,
     _seed_newsletter_whitelists,
     _seed_user_lists,
+    collect_metrics,
+    ledger_metrics,
 )
 from repro.net.hosts import RemoteMailHost
 from repro.net.smtp import Reply
-from repro.serve.admission import DegradationLadder, LiveStats
+from repro.serve.admission import DegradationLadder
 from repro.serve.retry import RetryPolicy, backoff_factory
 from repro.serve.wal import WriteAheadLog
 from repro.sim.engine import Simulator
+from repro.util.metrics import short_names
 from repro.util.rng import RngStreams
 from repro.util.simtime import DAY
 from repro.workload.calibration import DEFAULT_CALIBRATION
@@ -77,6 +81,26 @@ _KIND_PREFIXES = (
 #: senders exist in real DNS; ours exist in the simulated one).
 LIVE_SENDER_DOMAINS = 32
 LIVE_SENDER_DOMAIN_TEMPLATE = "ext-{i}.livegen.example"
+
+#: Every counter the service keeps, under its metrics-map name;
+#: :meth:`LiveCrService.metrics` adds what it reads at call time.
+COUNTERS = (
+    # Sessions opened and open now; envelope addresses refused as
+    # malformed (501) or routed nowhere (550 at RCPT); messages
+    # acknowledged with 250 (WAL-durable by construction) and their bytes.
+    "smtp.sessions", "smtp.sessions_open", "smtp.malformed",
+    "smtp.unrouted_rcpts", "smtp.acked", "smtp.bytes_in",
+    # Tempfails (421 / 503): the queue was full, the reply deadline passed.
+    "admission.refused_full", "admission.refused_deadline",
+    # WAL group commits and the records they covered.
+    "wal.fsync_batches", "wal.fsync_records",
+    # Records applied this process (replayed and live), mail and web;
+    # mail MTA-IN refused or no installation routes; web mutations
+    # applied or stale by apply time (the legal race with expiry).
+    "engine.applied", "engine.applied_mail", "engine.applied_web",
+    "engine.mta_dropped", "engine.unrouted", "engine.web_applied",
+    "engine.web_stale",
+)
 
 
 class _Item:
@@ -117,7 +141,8 @@ class LiveCrService:
         self.engine_delay = engine_delay
         self.batch_max = batch_max
         self.wal = WriteAheadLog(wal_path)
-        self.stats = LiveStats()
+        #: The kept counters: one increment per event, by name.
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self.ladder = ladder or DegradationLadder(capacity=queue_size)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self._worker: Optional[asyncio.Task] = None
@@ -170,13 +195,6 @@ class LiveCrService:
         self._register_live_senders()
         self._route_cache: Dict[str, Optional[CompanyInstallation]] = {}
 
-        #: Records applied to the engine this process (replayed + live).
-        self.applied = 0
-        self.applied_mail = 0
-        self.applied_web = 0
-        #: Mail records that no installation routes (WAL'd pre-check bug
-        #: guard — must stay 0 because RCPT pre-checks routing).
-        self.unrouted_applied = 0
         self.last_reconciliation: dict = {}
         #: Sim time of the last applied/stamped record (monotonic floor).
         self._last_t = 0.0
@@ -264,7 +282,7 @@ class LiveCrService:
         reply code after the record is durable and applied, or ``None``
         when the queue is full (caller replies 421)."""
         if self._closed or self._queue.full():
-            self.stats.refused_full += 1
+            self.counters["admission.refused_full"] += 1
             return None
         future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait(_Item(record, future))
@@ -299,6 +317,7 @@ class LiveCrService:
 
     def _process_batch(self, batch: List[_Item]) -> None:
         # Stamp + journal the whole batch, then one fsync covers it.
+        counters = self.counters
         seqs = []
         for item in batch:
             t = self._sim_now()
@@ -306,8 +325,8 @@ class LiveCrService:
             item.record["t"] = t
             seqs.append(self.wal.append(item.record))
         self.wal.flush()
-        self.stats.fsync_batches += 1
-        self.stats.fsync_records += len(batch)
+        counters["wal.fsync_batches"] += 1
+        counters["wal.fsync_records"] += len(batch)
         # Only now — records durable — apply and answer.
         for seq, item in zip(seqs, batch):
             code = self._apply(seq, item.record)
@@ -315,8 +334,8 @@ class LiveCrService:
             if future is not None and not future.done():
                 future.set_result(code)
                 if code == Reply.OK and item.record.get("kind") == "mail":
-                    self.stats.acked += 1
-                    self.stats.bytes_in += item.record.get("size", 0)
+                    counters["smtp.acked"] += 1
+                    counters["smtp.bytes_in"] += item.record.get("size", 0)
 
     def _apply_shed_level(self, level: int) -> None:
         for installation in self.installations.values():
@@ -328,16 +347,17 @@ class LiveCrService:
         t = record.get("t", 0.0)
         if t > self.simulator.now:
             self.simulator.run(until=min(t, self.horizon))
-        self.applied += 1
+        self.counters["engine.applied"] += 1
         if record.get("kind") == "web":
             return self._apply_web(record)
         return self._apply_mail(seq, record)
 
     def _apply_mail(self, seq: int, record: dict) -> int:
-        self.applied_mail += 1
+        self.counters["engine.applied_mail"] += 1
         installation = self.route(record["rcpt_to"])
         if installation is None:
-            self.unrouted_applied += 1
+            # Must stay 0: RCPT pre-checks routing before anything is WAL'd.
+            self.counters["engine.unrouted"] += 1
             return Reply.MAILBOX_UNAVAILABLE
         subject = record.get("subject", "")
         kind = MessageKind.LEGIT
@@ -360,15 +380,15 @@ class LiveCrService:
         )
         drop_reason = installation.handle_inbound(message)
         if drop_reason is not None:
-            self.stats.mta_dropped += 1
+            self.counters["engine.mta_dropped"] += 1
             return _DROP_REPLY.get(drop_reason, Reply.MAILBOX_UNAVAILABLE)
         return Reply.OK
 
     def _apply_web(self, record: dict) -> int:
-        self.applied_web += 1
+        self.counters["engine.applied_web"] += 1
         installation = self.installations.get(record.get("company", ""))
         if installation is None:
-            self.stats.web_stale += 1
+            self.counters["engine.web_stale"] += 1
             return Reply.MAILBOX_UNAVAILABLE
         action = record.get("action")
         ok = False
@@ -395,12 +415,12 @@ class LiveCrService:
                 record.get("user", ""), record.get("msg_id", -1)
             )
         if ok:
-            self.stats.web_applied += 1
+            self.counters["engine.web_applied"] += 1
             return Reply.OK
-        self.stats.web_stale += 1
+        self.counters["engine.web_stale"] += 1
         return Reply.MAILBOX_UNAVAILABLE
 
-    # -- reconciliation -------------------------------------------------------
+    # -- reconciliation and metrics -------------------------------------------
 
     def reconcile(self) -> dict:
         """Cross-check WAL, apply counters, and per-company ledgers.
@@ -408,73 +428,87 @@ class LiveCrService:
         The contract after any restart (including kill -9 at any instant):
 
         * every WAL record was applied exactly once this process
-          (``applied == wal.appended_seq``),
+          (``engine.applied == wal.records``),
         * every applied mail record is accounted: accepted into a ledger,
           refused by MTA-IN, or unroutable,
         * every company ledger satisfies the live conservation partition
           (``accepted == terminals + in quarantine``).
         """
-        snapshots = {
-            company_id: installation.ledger.snapshot()
-            for company_id, installation in sorted(self.installations.items())
-        }
-        accepted = sum(s.accepted for s in snapshots.values())
-        ledger_ok = all(s.live_conserved for s in snapshots.values())
-        applied_ok = self.applied == self.wal.appended_seq
+        metrics = self.metrics()
+        snapshots = self._ledger_snapshots()
+        ledger_ok = all(s.live_conserved for s in snapshots)
+        applied_ok = metrics["engine.applied"] == metrics["wal.records"]
         mail_ok = (
-            accepted + self.stats.mta_dropped + self.unrouted_applied
-            == self.applied_mail
+            metrics["ledger.accepted"]
+            + metrics["engine.mta_dropped"]
+            + metrics["engine.unrouted"]
+            == metrics["engine.applied_mail"]
         )
         return {
-            "reconciled": bool(ledger_ok and applied_ok and mail_ok),
-            "wal_records": self.wal.appended_seq,
-            "torn_tail_bytes": self.wal.torn_tail_bytes,
-            "applied": self.applied,
-            "applied_mail": self.applied_mail,
-            "applied_web": self.applied_web,
-            "accepted": accepted,
-            "mta_dropped": self.stats.mta_dropped,
-            "unrouted_applied": self.unrouted_applied,
+            "reconciled": ledger_ok and applied_ok and mail_ok,
             "ledger_live_conserved": ledger_ok,
+            "wal_records": metrics["wal.records"],
+            "torn_tail_bytes": metrics["wal.torn_tail_bytes"],
+            "accepted": metrics["ledger.accepted"],
+            **short_names(metrics, "engine"),
             "per_company": {
-                company_id: {
-                    "accepted": s.accepted,
-                    "delivered": s.delivered,
-                    "black_dropped": s.black_dropped,
-                    "filter_dropped": s.filter_dropped,
-                    "quarantined_total": s.quarantined_total,
-                    "released": s.released,
-                    "deleted": s.deleted,
-                    "expired": s.expired,
-                    "in_quarantine": s.in_quarantine,
-                    "live_conserved": s.live_conserved,
-                }
-                for company_id, s in snapshots.items()
+                s.company_id: dict(
+                    {name: getattr(s, name) for name in LEDGER_COUNTERS},
+                    live_conserved=s.live_conserved,
+                )
+                for s in snapshots
             },
         }
+
+    def metrics(self) -> dict:
+        """The service's metrics map: :data:`COUNTERS`, plus the
+        admission queue, WAL, ledgers, substrate caches, outbound MTAs
+        and simulator read now (DESIGN.md "Run metrics")."""
+        metrics = dict(self.counters)
+        metrics.update({
+            "admission.queue_depth": self._queue.qsize(),
+            "admission.queue_capacity": self._queue.maxsize,
+            "admission.shed_level": self.ladder.level,
+            "admission.shed_transitions": len(self.ladder.transitions),
+            "wal.records": self.wal.appended_seq,
+            "wal.torn_tail_bytes": self.wal.torn_tail_bytes,
+            "sim.events": self.simulator.events_processed,
+        })
+        metrics.update(ledger_metrics(self._ledger_snapshots()))
+        metrics.update(
+            collect_metrics(world=self.world, installations=self.installations)
+        )
+        return metrics
+
+    def _ledger_snapshots(self) -> list:
+        return [
+            self.installations[company_id].ledger.snapshot()
+            for company_id in sorted(self.installations)
+        ]
 
     # -- views ---------------------------------------------------------------
 
     def health(self) -> dict:
+        """``/healthz``: readiness and the ``admission.*`` metrics."""
         return {
             "status": "ok" if self.ready else "starting",
-            "shed_level": self.ladder.level,
-            "queue_depth": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
-            "transitions": len(self.ladder.transitions),
+            **short_names(self.metrics(), "admission"),
         }
 
     def stats_view(self) -> dict:
-        view = {
-            "service": self.stats.as_dict(),
-            "health": self.health(),
+        """``/stats``: the metrics map, the reconciliation now and at
+        recovery, and the ladder's transitions. ``service`` (the smtp,
+        admission, WAL and engine groups under short names) and
+        ``sim_now`` are what the benchmark harness reads."""
+        metrics = self.metrics()
+        return {
+            "metrics": metrics,
+            "service": short_names(metrics, "smtp", "admission", "wal", "engine"),
             "shed_transitions": self.ladder.transitions_as_dicts(),
             "reconciliation": self.reconcile(),
             "recovery": self.last_reconciliation,
             "sim_now": self.simulator.now,
-            "events_processed": self.simulator.events_processed,
         }
-        return view
 
     def directory(self) -> dict:
         """What the load generator needs to aim at this deployment."""
@@ -497,4 +531,7 @@ class LiveCrService:
         }
 
 
-__all__ = ["LiveCrService", "LIVE_SENDER_DOMAINS", "LIVE_SENDER_DOMAIN_TEMPLATE"]
+__all__ = [
+    "COUNTERS", "LiveCrService", "LIVE_SENDER_DOMAINS",
+    "LIVE_SENDER_DOMAIN_TEMPLATE",
+]

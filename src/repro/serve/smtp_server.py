@@ -113,9 +113,9 @@ class SmtpFrontend:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        stats = self.service.stats
-        stats.sessions += 1
-        stats.sessions_open += 1
+        counters = self.service.counters
+        counters["smtp.sessions"] += 1
+        counters["smtp.sessions_open"] += 1
         task = asyncio.current_task()
         self._sessions.add(task)
         try:
@@ -136,7 +136,7 @@ class SmtpFrontend:
             if not self._closing:
                 raise
         finally:
-            stats.sessions_open -= 1
+            counters["smtp.sessions_open"] -= 1
             self._sessions.discard(task)
             writer.close()
             try:
@@ -210,10 +210,10 @@ class SmtpFrontend:
                 else:
                     address = _parse_path(argument, "FROM")
                     if address is None:
-                        self.service.stats.malformed += 1
+                        self.service.counters["smtp.malformed"] += 1
                         self._reply(writer, Reply.PARAM_SYNTAX)
                     elif address != "" and not is_well_formed(address):
-                        self.service.stats.malformed += 1
+                        self.service.counters["smtp.malformed"] += 1
                         self._reply(writer, Reply.PARAM_SYNTAX)
                     else:
                         mail_from = address
@@ -226,10 +226,10 @@ class SmtpFrontend:
                 else:
                     address = _parse_path(argument, "TO")
                     if address is None or not is_well_formed(address):
-                        self.service.stats.malformed += 1
+                        self.service.counters["smtp.malformed"] += 1
                         self._reply(writer, Reply.PARAM_SYNTAX)
                     elif self.service.route(address) is None:
-                        self.service.stats.unrouted_rcpts += 1
+                        self.service.counters["smtp.unrouted_rcpts"] += 1
                         self._reply(writer, Reply.MAILBOX_UNAVAILABLE)
                     else:
                         rcpt_to = address
@@ -312,7 +312,7 @@ class SmtpFrontend:
         except asyncio.TimeoutError:
             # The record may still land (it is queued); the client retries
             # against the at-least-once contract.
-            self.service.stats.refused_deadline += 1
+            self.service.counters["admission.refused_deadline"] += 1
             return Reply.SERVICE_UNAVAILABLE
         finally:
             expiry.cancel()

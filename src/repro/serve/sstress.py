@@ -159,15 +159,13 @@ def scenario_messages(
     return planned
 
 
-async def fetch_directory(host: str, web_port: int, deadline: float = 10.0) -> dict:
-    """GET ``/directory`` from the web frontend (raw HTTP, no deps)."""
+async def http_get(host: str, port: int, path: str, deadline: float = 10.0):
+    """Status and parsed JSON body of a one-shot raw-HTTP ``GET``."""
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, web_port), deadline
+        asyncio.open_connection(host, port), deadline
     )
     try:
-        writer.write(
-            f"GET /directory HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
-        )
+        writer.write(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
         await writer.drain()
         raw = await asyncio.wait_for(reader.read(), deadline)
     finally:
@@ -177,10 +175,15 @@ async def fetch_directory(host: str, web_port: int, deadline: float = 10.0) -> d
         except (ConnectionError, BrokenPipeError):
             pass
     head, _, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b" ")[1])
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
+async def fetch_directory(host: str, web_port: int, deadline: float = 10.0) -> dict:
+    """GET ``/directory`` from the web frontend."""
+    status, directory = await http_get(host, web_port, "/directory", deadline)
     if status != 200:
         raise RuntimeError(f"/directory returned HTTP {status}")
-    return json.loads(body)
+    return directory
 
 
 class _SmtpSession:
@@ -353,6 +356,7 @@ __all__ = [
     "build_messages",
     "default_senders",
     "fetch_directory",
+    "http_get",
     "run_stress",
     "scenario_messages",
 ]

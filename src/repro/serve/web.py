@@ -134,8 +134,9 @@ class WebFrontend:
     async def _request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, dict]:
-        raw = await reader.readuntil(b"\r\n\r\n")
-        if len(raw) > MAX_HEADER_BYTES:
+        try:
+            raw = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:  # the stream limit is the bound
             return 413, {"error": "headers too large"}
         head = raw.decode("latin-1")
         request_line, _, header_block = head.partition("\r\n")
@@ -148,10 +149,11 @@ class WebFrontend:
         for header in header_block.split("\r\n"):
             name, _, value = header.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
+                value = value.strip()
+                # Digits only: no sign, no "_", nothing int() would forgive.
+                if not (value.isascii() and value.isdigit()):
                     return 400, {"error": "bad content-length"}
+                content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             return 413, {"error": "body too large"}
         body = b""
@@ -210,7 +212,7 @@ class WebFrontend:
         try:
             code = await asyncio.wait_for(future, self.reply_deadline)
         except asyncio.TimeoutError:
-            service.stats.refused_deadline += 1
+            service.counters["admission.refused_deadline"] += 1
             return 503, {"error": "engine deadline expired, retry later"}
         status = _REPLY_STATUS.get(code, 500)
         return status, {"applied": status == 200, "code": int(code)}

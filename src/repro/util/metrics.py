@@ -3,7 +3,9 @@
 A finished run reports every counter it kept under a dotted name,
 ``<group>.<counter>`` — ``faults.greylist_deferrals``,
 ``ledger.accepted``, ``crashes.by_component.<component>`` — in one
-plain ``{name: value}`` dict (DESIGN.md "Run metrics").
+plain ``{name: value}`` dict (DESIGN.md "Run metrics"). The live
+service keeps its own counters in the same model
+(``LiveCrService.metrics()``).
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def flatten(group: str, counters: Mapping) -> dict:
     return flat
 
 
+def short_names(metrics: Mapping, *groups: str) -> dict:
+    """The metrics of *groups*, each under its name without the group:
+    ``{"smtp.acked": 3}`` → ``{"acked": 3}``."""
+    prefixes = tuple(f"{group}." for group in groups)
+    return {
+        name.partition(".")[2]: value
+        for name, value in metrics.items()
+        if name.startswith(prefixes)
+    }
+
+
 def format_metrics(metrics: Mapping) -> str:
     """One aligned ``name  value`` line per metric, sorted by name."""
     width = max(map(len, metrics), default=0)
@@ -75,12 +88,7 @@ class MetricsView:
     GROUP = ""
 
     def __init__(self, metrics: Mapping) -> None:
-        prefix = f"{self.GROUP}."
-        vars(self).update(
-            (name[len(prefix):], value)
-            for name, value in metrics.items()
-            if name.startswith(prefix)
-        )
+        vars(self).update(short_names(metrics, self.GROUP))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is a read-only view")

@@ -40,6 +40,20 @@ def test_kill9_zero_loss_two_rounds(tmp_path):
     assert final["accepted"] >= sum(r["acked_this_burst"] for r in report["rounds"])
     assert report["clean_burst"]["errors"] == 0
     assert report["clean_burst"]["accept_latency_ms"]["p99"] > 0
+    # /stats after the clean burst: the map, the reconciliation and the
+    # benchmark harness's short names agree.
+    stats = report["clean_stats"]
+    metrics = stats["metrics"]
+    assert metrics["ledger.accepted"] == stats["reconciliation"]["accepted"]
+    assert metrics["ledger.accepted"] >= report["clean_burst"]["acked"] > 0
+    assert metrics["wal.fsync_records"] >= report["clean_burst"]["acked"]
+    for key, name in (
+        ("fsync_records", "wal.fsync_records"),
+        ("fsync_batches", "wal.fsync_batches"),
+        ("refused_full", "admission.refused_full"),
+        ("refused_deadline", "admission.refused_deadline"),
+    ):
+        assert stats["service"][key] == metrics[name]
 
 
 def test_sstress_open_loop_report(tmp_path):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.serve.admission import MAX_SHED_LEVEL, DegradationLadder
 from repro.serve.retry import RetryPolicy
+from repro.serve.service import COUNTERS, LiveCrService
 from repro.serve.sstress import StressConfig, run_stress
 from tests.serve_harness import ehlo_client, http_request, live_stack, pick_targets
 
@@ -79,6 +82,65 @@ class TestRetryPolicy:
         assert first != policy.delay_for(1, token=43)  # spread across tokens
 
 
+class TestMetrics:
+    def test_fresh_service_names_every_metric_at_zero(self, tmp_path):
+        service = LiveCrService(wal_path=str(tmp_path / "w.wal"))
+        metrics = service.metrics()
+        assert {name: metrics[name] for name in COUNTERS} == dict.fromkeys(
+            COUNTERS, 0
+        )
+        pulled = {
+            "admission.queue_depth": 0,
+            "admission.queue_capacity": 256,
+            "admission.shed_level": 0,
+            "admission.shed_transitions": 0,
+            "wal.records": 0,
+            "wal.torn_tail_bytes": 0,
+            "ledger.accepted": 0,
+            "ledger.in_quarantine": 0,
+            "ledger.stranded": 0,
+            "faults.enabled": False,
+            "faults.messages_sent": 0,
+            "sim.events": 0,
+        }
+        assert {name: metrics[name] for name in pulled} == pulled
+        assert {name.partition(".")[0] for name in metrics} == {
+            "smtp", "admission", "wal", "engine", "ledger", "cache",
+            "faults", "sim",
+        }
+
+    def test_unknown_counter_name_raises(self, tmp_path):
+        service = LiveCrService(wal_path=str(tmp_path / "w.wal"))
+        with pytest.raises(KeyError):
+            service.counters["smtp.ackd"] += 1
+        assert "smtp.ackd" not in service.metrics()
+
+    def test_surfaces_read_the_map(self, tmp_path):
+        async def scenario():
+            async with live_stack(tmp_path) as (service, smtp, web):
+                sender, users = pick_targets(service)
+                client = await ehlo_client(smtp.port)
+                assert await client.send_message(sender, users[0]) == 250
+                await client.quit()
+                status, stats = await http_request(web.port, "GET", "/stats")
+                assert status == 200
+                status, health = await http_request(web.port, "GET", "/healthz")
+                assert status == 200
+                return stats, health
+
+        stats, health = asyncio.run(scenario())
+        metrics = stats["metrics"]
+        assert metrics["smtp.acked"] == metrics["ledger.accepted"] == 1
+        assert metrics["wal.records"] == metrics["engine.applied"] == 1
+        assert stats["reconciliation"]["accepted"] == 1
+        for group in ("smtp", "admission", "wal", "engine"):
+            for name, value in metrics.items():
+                if name.startswith(group + "."):
+                    assert stats["service"][name.split(".", 1)[1]] == value
+        assert health["queue_capacity"] == metrics["admission.queue_capacity"]
+        assert health["status"] == "ok"
+
+
 class TestServiceCore:
     def test_accept_and_reconcile(self, tmp_path):
         async def scenario():
@@ -93,7 +155,7 @@ class TestServiceCore:
                 await client.quit()
                 report = service.reconcile()
                 assert report["reconciled"]
-                assert report["accepted"] == service.stats.acked == 3
+                assert report["accepted"] == service.metrics()["smtp.acked"] == 3
                 # Spam/legit alike arrive from an unknown sender: all gray,
                 # so each got a challenge and sits in quarantine.
                 assert sum(
@@ -118,8 +180,8 @@ class TestServiceCore:
                 assert code == 550
                 report = service.reconcile()
                 assert report["reconciled"]
-                assert report["unrouted_applied"] == 1
-                assert service.stats.acked == 0
+                assert report["unrouted"] == 1
+                assert service.metrics()["smtp.acked"] == 0
 
         asyncio.run(scenario())
 
@@ -148,7 +210,7 @@ class TestServiceCore:
                 assert report["errors"] == 0
                 refused = report["codes"].get("421", 0)
                 assert refused > 0, report
-                assert service.stats.refused_full == refused
+                assert service.metrics()["admission.refused_full"] == refused
                 # Backpressure pushed the ladder up...
                 ups = [
                     t for t in service.ladder.transitions_as_dicts()
@@ -277,6 +339,6 @@ class TestServiceCore:
                 )
                 is None
             )
-            assert service.stats.refused_full == 1
+            assert service.metrics()["admission.refused_full"] == 1
 
         asyncio.run(scenario())

@@ -75,7 +75,7 @@ def test_crlf_strict_and_shared_address_hardening(tmp_path):
             assert await client.code("MAIL a@b.com") == 501
             assert await client.code("MAIL FROM:a@b.com") == 501
 
-            assert service.stats.malformed >= 4
+            assert service.metrics()["smtp.malformed"] >= 4
             # The session survives all of it and still accepts real mail.
             assert await client.send_message(sender, users[0]) == 250
             await client.quit()
@@ -90,10 +90,10 @@ def test_unknown_recipient_refused_at_rcpt(tmp_path):
             client = await ehlo_client(smtp.port)
             assert await client.code(f"MAIL FROM:<{sender}>") == 250
             assert await client.code("RCPT TO:<ghost@nowhere.invalid>") == 550
-            assert service.stats.unrouted_rcpts == 1
+            assert service.metrics()["smtp.unrouted_rcpts"] == 1
             await client.quit()
             # Nothing was accepted: nothing to reconcile against.
-            assert service.stats.acked == 0
+            assert service.metrics()["smtp.acked"] == 0
             assert service.reconcile()["reconciled"]
 
     asyncio.run(scenario())
@@ -124,7 +124,7 @@ def test_oversized_message_rejected_not_buffered(tmp_path):
             await client.send_raw(b"Subject: ok\r\n\r\n..dotted line\r\n.\r\n")
             assert (await client.readline()).startswith("250 ")
             await client.quit()
-            assert service.stats.acked == 1
+            assert service.metrics()["smtp.acked"] == 1
 
     asyncio.run(scenario())
 
@@ -149,7 +149,7 @@ def test_null_sender_envelope_reaches_engine_verdict(tmp_path):
             assert report["reconciled"]
             assert report["applied_mail"] == 1
             if code == 501:
-                assert service.stats.mta_dropped == 1
+                assert service.metrics()["engine.mta_dropped"] == 1
 
     asyncio.run(scenario())
 
@@ -259,7 +259,7 @@ def test_stalled_command_phase_gets_421_and_close(tmp_path):
             assert [line[:4] for line in lines] == ["421 "]
             assert loop.time() - started < 5.0
             client.close()
-            assert service.stats.sessions_open == 0
+            assert service.metrics()["smtp.sessions_open"] == 0
 
     asyncio.run(scenario())
 
@@ -320,7 +320,7 @@ def test_reply_deadline_tempfails_and_the_session_continues(tmp_path):
             assert await client.send_message(sender, users[0]) == 250
             smtp.reply_deadline = 0.2
             assert await client.send_message(sender, users[0]) == 421
-            assert service.stats.refused_deadline == 1
+            assert service.metrics()["admission.refused_deadline"] == 1
             assert await client.code("NOOP") == 250
             await client.quit()
 
@@ -331,9 +331,9 @@ def test_server_close_cancels_open_sessions_without_a_timeout_reply(tmp_path):
     async def scenario():
         async with live_stack(tmp_path) as (service, smtp, _web):
             client = await ehlo_client(smtp.port)
-            assert service.stats.sessions_open == 1
+            assert service.metrics()["smtp.sessions_open"] == 1
             await asyncio.wait_for(smtp.close(), 5.0)
-            assert service.stats.sessions_open == 0
+            assert service.metrics()["smtp.sessions_open"] == 0
             # Closed, and not with the 421 a timed-out session gets.
             assert await client.reader.read() == b""
             client.close()
@@ -385,6 +385,6 @@ def test_tasks_per_connection_do_not_grow_with_messages(tmp_path):
             ]
             assert one == twenty
             assert twenty.count("SmtpFrontend._handle") == 1
-            assert service.stats.acked == 21
+            assert service.metrics()["smtp.acked"] == 21
 
     asyncio.run(scenario())

@@ -9,8 +9,10 @@ do.
 from __future__ import annotations
 
 import asyncio
+import json
 
 from repro.serve.service import LiveCrService
+from repro.serve.web import MAX_HEADER_BYTES
 from tests.serve_harness import ehlo_client, http_request, live_stack, pick_targets
 
 
@@ -29,6 +31,7 @@ def test_health_ready_stats_directory(tmp_path):
             assert status == 200
             assert stats["reconciliation"]["reconciled"] is True
             assert stats["service"]["acked"] == 0
+            assert stats["metrics"]["smtp.acked"] == 0
 
             status, directory = await http_request(web.port, "GET", "/directory")
             assert status == 200
@@ -152,7 +155,7 @@ def test_stale_and_invalid_requests(tmp_path):
                 {"company": company, "challenge_id": 424242},
             )
             assert status == 404 and body["applied"] is False
-            assert service.stats.web_stale == 1
+            assert service.metrics()["engine.web_stale"] == 1
             assert service.wal.appended_seq == 1
 
             # Unknown company: 404.
@@ -196,5 +199,49 @@ def test_raw_garbage_does_not_kill_the_server(tmp_path):
             # Server is still alive and serving.
             status, _ = await http_request(web.port, "GET", "/healthz")
             assert status == 200
+
+    asyncio.run(scenario())
+
+
+async def _raw_exchange(port: int, request: bytes):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(), 10.0)
+    writer.close()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
+def test_oversized_headers_get_413(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (_service, _smtp, web):
+            request = (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * MAX_HEADER_BYTES
+                + b"\r\n\r\n"
+            )
+            status, body = await _raw_exchange(web.port, request)
+            assert status == 413 and body["error"] == "headers too large"
+            status, _ = await http_request(web.port, "GET", "/healthz")
+            assert status == 200
+
+    asyncio.run(scenario())
+
+
+def test_bad_content_length_gets_400(tmp_path):
+    async def scenario():
+        async with live_stack(tmp_path) as (service, _smtp, web):
+            for value in (b"-5", b"+5", b"5_0", b"five"):
+                request = (
+                    b"POST /challenge/solve HTTP/1.1\r\nContent-Length: "
+                    + value
+                    + b"\r\n\r\n"
+                )
+                status, body = await _raw_exchange(web.port, request)
+                assert (status, body) == (
+                    400, {"error": "bad content-length"}
+                ), value
+            assert service.wal.appended_seq == 0
 
     asyncio.run(scenario())
