@@ -10,13 +10,18 @@ metadata), and re-run any analysis offline::
 
 Format: one JSON object per line; the first line is a header carrying the
 schema version and the :class:`~repro.analysis.context.DeploymentInfo`;
-every other line is one record tagged with its log type.
+every other line is one record tagged with its log type. Tables, tags
+and their order come from :data:`repro.analysis.store.SCHEMA`; a
+record's short keys from :data:`_KEYS`, one per dataclass field.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from repro.analysis.context import DeploymentInfo
@@ -33,15 +38,8 @@ from repro.analysis.records import (
     WebAccessRecord,
     WhitelistChangeRecord,
 )
-from repro.analysis.store import LogStore
+from repro.analysis.store import SCHEMA, LogStore
 from repro.blacklistd.monitor import ProbeObservation
-from repro.core.challenge import WebAction
-from repro.core.filters.spf import SpfResult
-from repro.core.message import MessageKind, SenderClass
-from repro.core.mta_in import DropReason
-from repro.core.spools import Category, ReleaseMechanism
-from repro.core.whitelist import WhitelistSource
-from repro.net.smtp import BounceReason, FinalStatus
 
 SCHEMA_VERSION = 1
 
@@ -58,242 +56,98 @@ class LoadedRun:
     info: DeploymentInfo
 
 
-def _enum_or_none(enum_cls, value):
-    return None if value is None else enum_cls(value)
-
-
-def _encode_mta(r: MtaRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "t": r.t,
-        "m": r.msg_id,
-        "d": r.drop_reason.value if r.drop_reason else None,
-        "o": r.open_relay,
-        "s": r.size,
-    }
-
-
-def _decode_mta(d: dict) -> MtaRecord:
-    return MtaRecord(
-        d["c"], d["t"], d["m"], _enum_or_none(DropReason, d["d"]), d["o"], d["s"]
-    )
-
-
-def _encode_dispatch(r: DispatchRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "t": r.t,
-        "m": r.msg_id,
-        "u": r.user,
-        "cat": r.category.value,
-        "fd": r.filter_drop,
-        "ch": r.challenge_id,
-        "cc": r.challenge_created,
-        "f": r.env_from,
-        "subj": r.subject,
-        "s": r.size,
-        "spf": r.spf.value,
-        "k": r.kind.value,
-        "sc": r.sender_class.value,
-        "camp": r.campaign_id,
-        "o": r.open_relay,
-        "p": r.protected_user,
-    }
-
-
-def _decode_dispatch(d: dict) -> DispatchRecord:
-    return DispatchRecord(
-        d["c"],
-        d["t"],
-        d["m"],
-        d["u"],
-        Category(d["cat"]),
-        d["fd"],
-        d["ch"],
-        d["cc"],
-        d["f"],
-        d["subj"],
-        d["s"],
-        SpfResult(d["spf"]),
-        MessageKind(d["k"]),
-        SenderClass(d["sc"]),
-        d["camp"],
-        d["o"],
-        d["p"],
-    )
-
-
-def _encode_challenge(r: ChallengeRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "id": r.challenge_id,
-        "t": r.t,
-        "u": r.user,
-        "snd": r.sender,
-        "ip": r.server_ip,
-        "s": r.size,
-    }
-
-
-def _decode_challenge(d: dict) -> ChallengeRecord:
-    return ChallengeRecord(
-        d["c"], d["id"], d["t"], d["u"], d["snd"], d["ip"], d["s"]
-    )
-
-
-def _encode_outcome(r: ChallengeOutcomeRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "id": r.challenge_id,
-        "st": r.status.value,
-        "br": r.bounce_reason.value if r.bounce_reason else None,
-        "a": r.attempts,
-        "t": r.t_final,
-    }
-
-
-def _decode_outcome(d: dict) -> ChallengeOutcomeRecord:
-    return ChallengeOutcomeRecord(
-        d["c"],
-        d["id"],
-        FinalStatus(d["st"]),
-        _enum_or_none(BounceReason, d["br"]),
-        d["a"],
-        d["t"],
-    )
-
-
-def _encode_web(r: WebAccessRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "id": r.challenge_id,
-        "t": r.t,
-        "a": r.action.value,
-        "ok": r.success,
-    }
-
-
-def _decode_web(d: dict) -> WebAccessRecord:
-    return WebAccessRecord(d["c"], d["id"], d["t"], WebAction(d["a"]), d["ok"])
-
-
-def _encode_release(r: ReleaseRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "u": r.user,
-        "m": r.msg_id,
-        "ta": r.t_arrival,
-        "tr": r.t_release,
-        "mech": r.mechanism.value,
-        "k": r.kind.value,
-    }
-
-
-def _decode_release(d: dict) -> ReleaseRecord:
-    return ReleaseRecord(
-        d["c"],
-        d["u"],
-        d["m"],
-        d["ta"],
-        d["tr"],
-        ReleaseMechanism(d["mech"]),
-        MessageKind(d["k"]),
-    )
-
-
-def _encode_whitelist(r: WhitelistChangeRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "u": r.user,
-        "a": r.address,
-        "t": r.t,
-        "src": r.source.value,
-    }
-
-
-def _decode_whitelist(d: dict) -> WhitelistChangeRecord:
-    return WhitelistChangeRecord(
-        d["c"], d["u"], d["a"], d["t"], WhitelistSource(d["src"])
-    )
-
-
-def _encode_digest(r: DigestRecord) -> dict:
-    return {"c": r.company_id, "u": r.user, "d": r.day, "n": r.pending_count}
-
-
-def _decode_digest(d: dict) -> DigestRecord:
-    return DigestRecord(d["c"], d["u"], d["d"], d["n"])
-
-
-def _encode_expiry(r: ExpiryRecord) -> dict:
-    return {"c": r.company_id, "u": r.user, "m": r.msg_id, "t": r.t}
-
-
-def _decode_expiry(d: dict) -> ExpiryRecord:
-    return ExpiryRecord(d["c"], d["u"], d["m"], d["t"])
-
-
-def _encode_outbound(r: OutboundMailRecord) -> dict:
-    return {"c": r.company_id, "t": r.t, "u": r.user, "r": r.rcpt, "s": r.size}
-
-
-def _decode_outbound(d: dict) -> OutboundMailRecord:
-    return OutboundMailRecord(d["c"], d["t"], d["u"], d["r"], d["s"])
-
-
-def _encode_probe(r: ProbeObservation) -> dict:
-    return {"t": r.t, "ip": r.ip, "svc": r.service, "l": r.listed}
-
-
-def _decode_probe(d: dict) -> ProbeObservation:
-    return ProbeObservation(d["t"], d["ip"], d["svc"], d["l"])
-
-
-def _encode_crash(r: CrashRecord) -> dict:
-    return {
-        "c": r.company_id,
-        "t": r.t,
-        "comp": r.component,
-        "dt": r.downtime,
-        "rd": r.redriven,
-        "lo": r.lost,
-        "jok": r.journal_ok,
-    }
-
-
-def _decode_crash(d: dict) -> CrashRecord:
-    return CrashRecord(
-        d["c"], d["t"], d["comp"], d["dt"], d["rd"], d["lo"], d["jok"]
-    )
-
-
-#: tag -> (store list attribute, encoder, decoder)
-_CODECS: dict = {
-    "mta": ("mta", _encode_mta, _decode_mta),
-    "dispatch": ("dispatch", _encode_dispatch, _decode_dispatch),
-    "challenge": ("challenges", _encode_challenge, _decode_challenge),
-    "outcome": ("challenge_outcomes", _encode_outcome, _decode_outcome),
-    "web": ("web_access", _encode_web, _decode_web),
-    "release": ("releases", _encode_release, _decode_release),
-    "whitelist": ("whitelist_changes", _encode_whitelist, _decode_whitelist),
-    "digest": ("digests", _encode_digest, _decode_digest),
-    "expiry": ("expiries", _encode_expiry, _decode_expiry),
-    "outbound": ("outbound", _encode_outbound, _decode_outbound),
-    "probe": ("probes", _encode_probe, _decode_probe),
-    "crash": ("crashes", _encode_crash, _decode_crash),
+#: Each record type's short JSON keys, one per dataclass field, in field
+#: order (which is also the key order of a written line).
+_KEYS = {
+    MtaRecord: ("c", "t", "m", "d", "o", "s"),
+    DispatchRecord: (
+        "c", "t", "m", "u", "cat", "fd", "ch", "cc", "f", "subj", "s",
+        "spf", "k", "sc", "camp", "o", "p",
+    ),
+    ChallengeRecord: ("c", "id", "t", "u", "snd", "ip", "s"),
+    ChallengeOutcomeRecord: ("c", "id", "st", "br", "a", "t"),
+    WebAccessRecord: ("c", "id", "t", "a", "ok"),
+    ReleaseRecord: ("c", "u", "m", "ta", "tr", "mech", "k"),
+    WhitelistChangeRecord: ("c", "u", "a", "t", "src"),
+    DigestRecord: ("c", "u", "d", "n"),
+    ExpiryRecord: ("c", "u", "m", "t"),
+    OutboundMailRecord: ("c", "t", "u", "r", "s"),
+    ProbeObservation: ("t", "ip", "svc", "l"),
+    CrashRecord: ("c", "t", "comp", "dt", "rd", "lo", "jok"),
 }
 
 
+def _enum_field(hint) -> Optional[tuple]:
+    """``(enum class, optional)`` for an enum-typed annotation, else None."""
+    optional = typing.get_origin(hint) is typing.Union
+    if optional:
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint, optional
+    return None
+
+
+class _Codec:
+    """One table's JSONL codec, derived from its record class's fields.
+
+    Enums travel as their ``.value`` and ``None`` as ``null``; the
+    decoder rebuilds enums from the field annotations, and only an
+    ``Optional`` enum field accepts ``null`` back.
+    """
+
+    def __init__(self, table: str, tag: str, cls: type) -> None:
+        names = [f.name for f in fields(cls)]
+        self.keys = _KEYS[cls]
+        if len(self.keys) != len(names):
+            raise TypeError(f"{cls.__name__}: {len(names)} fields, "
+                            f"{len(self.keys)} JSON keys")
+        self.table = table
+        self.tag = tag
+        self.cls = cls
+        self._values = attrgetter(*names)
+        hints = typing.get_type_hints(cls)
+        #: ``(short key, enum class, optional)`` per enum-typed field.
+        self._enums = tuple(
+            (key, *spec)
+            for key, name in zip(self.keys, names)
+            if (spec := _enum_field(hints[name])) is not None
+        )
+
+    def encode(self, record) -> dict:
+        payload = dict(zip(self.keys, self._values(record)))
+        for key, _cls, _optional in self._enums:
+            member = payload[key]
+            if member is not None:
+                # ``_value_`` is what the ``.value`` property returns,
+                # without the property call (the digest encodes every
+                # record of a run).
+                payload[key] = member._value_
+        return payload
+
+    def decode(self, payload: dict):
+        values = {key: payload[key] for key in self.keys}
+        for key, enum_cls, optional in self._enums:
+            if values[key] is not None or not optional:
+                values[key] = enum_cls(values[key])
+        return self.cls(*values.values())
+
+
+#: One codec per table, in schema (= digest) order.
+_TABLE_CODECS = tuple(_Codec(*entry) for entry in SCHEMA)
+_BY_TAG = {codec.tag: codec for codec in _TABLE_CODECS}
+
+
 def encoded_records(store: LogStore):
-    """Yield every record as ``(tag, payload_dict)`` in codec order.
+    """Yield every record as ``(tag, payload_dict)`` in schema order.
 
     The payloads are the exact JSON-ready dicts :func:`save_run` writes,
     which makes this the canonical byte-stable serialisation of a store —
     the parallel runner hashes it to fingerprint a run's content.
     """
-    for tag, (attribute, encode, _decode) in _CODECS.items():
-        for record in getattr(store, attribute):
-            yield tag, encode(record)
+    for codec in _TABLE_CODECS:
+        encode = codec.encode
+        for record in getattr(store, codec.table):
+            yield codec.tag, encode(record)
 
 
 def save_run(store: LogStore, info: DeploymentInfo, path) -> int:
@@ -303,27 +157,22 @@ def save_run(store: LogStore, info: DeploymentInfo, path) -> int:
         header = {
             "type": "header",
             "schema": SCHEMA_VERSION,
-            "info": {
-                "n_companies": info.n_companies,
-                "n_open_relays": info.n_open_relays,
-                "users_per_company": dict(info.users_per_company),
-                "horizon_days": info.horizon_days,
-                "min_cluster_size": info.min_cluster_size,
-                "volume_scale": info.volume_scale,
-            },
+            "info": asdict(info),
         }
         handle.write(json.dumps(header) + "\n")
-        for tag, (attribute, encode, _decode) in _CODECS.items():
-            for record in getattr(store, attribute):
-                payload = encode(record)
-                payload["type"] = tag
-                handle.write(json.dumps(payload) + "\n")
-                written += 1
+        for tag, payload in encoded_records(store):
+            payload["type"] = tag
+            handle.write(json.dumps(payload) + "\n")
+            written += 1
     return written
 
 
 def load_run(path) -> LoadedRun:
-    """Read a file written by :func:`save_run`."""
+    """Read a file written by :func:`save_run`.
+
+    Every malformed line raises :class:`PersistenceError` naming the
+    path and line number.
+    """
     store = LogStore()
     info: Optional[DeploymentInfo] = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -331,39 +180,43 @@ def load_run(path) -> LoadedRun:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_number}"
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise PersistenceError(
-                    f"{path}:{line_number}: invalid JSON: {exc}"
+                    f"{where}: invalid JSON: {exc}"
                 ) from exc
+            if not isinstance(payload, dict):
+                raise PersistenceError(
+                    f"{where}: expected a JSON object, got "
+                    f"{type(payload).__name__}"
+                )
             tag = payload.get("type")
             if tag == "header":
                 if payload.get("schema") != SCHEMA_VERSION:
                     raise PersistenceError(
-                        f"unsupported schema {payload.get('schema')!r}"
+                        f"{where}: unsupported schema "
+                        f"{payload.get('schema')!r}"
                     )
-                raw = payload["info"]
-                info = DeploymentInfo(
-                    n_companies=raw["n_companies"],
-                    n_open_relays=raw["n_open_relays"],
-                    users_per_company=raw["users_per_company"],
-                    horizon_days=raw["horizon_days"],
-                    min_cluster_size=raw["min_cluster_size"],
-                    volume_scale=raw["volume_scale"],
-                )
+                raw = payload.get("info")
+                try:
+                    info = DeploymentInfo(
+                        **{f.name: raw[f.name] for f in fields(DeploymentInfo)}
+                    )
+                except (KeyError, TypeError) as exc:
+                    raise PersistenceError(
+                        f"{where}: bad header info: {exc}"
+                    ) from exc
                 continue
-            codec = _CODECS.get(tag)
+            codec = _BY_TAG.get(tag) if isinstance(tag, str) else None
             if codec is None:
-                raise PersistenceError(
-                    f"{path}:{line_number}: unknown record type {tag!r}"
-                )
-            attribute, _encode, decode = codec
+                raise PersistenceError(f"{where}: unknown record type {tag!r}")
             try:
-                getattr(store, attribute).append(decode(payload))
+                getattr(store, codec.table).append(codec.decode(payload))
             except (KeyError, ValueError) as exc:
                 raise PersistenceError(
-                    f"{path}:{line_number}: bad {tag} record: {exc}"
+                    f"{where}: bad {tag} record: {exc}"
                 ) from exc
     if info is None:
         raise PersistenceError(f"{path}: missing header line")

@@ -32,13 +32,13 @@ from repro.core.filters.spf import SpfResult
 from repro.core.spools import Category, ReleaseMechanism
 from repro.core.whitelist import WhitelistSource
 from repro.net.smtp import BounceReason, FinalStatus
+from repro.util.slots import slotted
 
 
+@slotted
 @dataclass
 class MtaRecord:
     """One message's treatment at MTA-IN."""
-
-    __slots__ = ("company_id", "t", "msg_id", "drop_reason", "open_relay", "size")
 
     company_id: str
     t: float
@@ -53,29 +53,10 @@ class MtaRecord:
         return self.drop_reason is None
 
 
+@slotted
 @dataclass
 class DispatchRecord:
     """One accepted message's treatment at the CR dispatcher."""
-
-    __slots__ = (
-        "company_id",
-        "t",
-        "msg_id",
-        "user",
-        "category",
-        "filter_drop",
-        "challenge_id",
-        "challenge_created",
-        "env_from",
-        "subject",
-        "size",
-        "spf",
-        "kind",
-        "sender_class",
-        "campaign_id",
-        "open_relay",
-        "protected_user",
-    )
 
     company_id: str
     t: float
@@ -101,19 +82,10 @@ class DispatchRecord:
     protected_user: bool
 
 
+@slotted
 @dataclass
 class ChallengeRecord:
     """One challenge email handed to the challenge MTA."""
-
-    __slots__ = (
-        "company_id",
-        "challenge_id",
-        "t",
-        "user",
-        "sender",
-        "server_ip",
-        "size",
-    )
 
     company_id: str
     challenge_id: int
@@ -124,18 +96,10 @@ class ChallengeRecord:
     size: int
 
 
+@slotted
 @dataclass
 class ChallengeOutcomeRecord:
     """Final delivery status of one challenge email."""
-
-    __slots__ = (
-        "company_id",
-        "challenge_id",
-        "status",
-        "bounce_reason",
-        "attempts",
-        "t_final",
-    )
 
     company_id: str
     challenge_id: int
@@ -145,11 +109,10 @@ class ChallengeOutcomeRecord:
     t_final: float
 
 
+@slotted
 @dataclass
 class WebAccessRecord:
     """One hit in the challenge web server's access log."""
-
-    __slots__ = ("company_id", "challenge_id", "t", "action", "success")
 
     company_id: str
     challenge_id: int
@@ -159,19 +122,10 @@ class WebAccessRecord:
     success: bool
 
 
+@slotted
 @dataclass
 class ReleaseRecord:
     """A gray message released to the user's inbox."""
-
-    __slots__ = (
-        "company_id",
-        "user",
-        "msg_id",
-        "t_arrival",
-        "t_release",
-        "mechanism",
-        "kind",
-    )
 
     company_id: str
     user: str
@@ -186,11 +140,10 @@ class ReleaseRecord:
         return self.t_release - self.t_arrival
 
 
+@slotted
 @dataclass
 class WhitelistChangeRecord:
     """One whitelist addition (the churn analyses of §4.3 / Fig. 9)."""
-
-    __slots__ = ("company_id", "user", "address", "t", "source")
 
     company_id: str
     user: str
@@ -199,11 +152,10 @@ class WhitelistChangeRecord:
     source: WhitelistSource
 
 
+@slotted
 @dataclass
 class DigestRecord:
     """Daily digest size of one user (Fig. 10)."""
-
-    __slots__ = ("company_id", "user", "day", "pending_count")
 
     company_id: str
     user: str
@@ -211,11 +163,10 @@ class DigestRecord:
     pending_count: int
 
 
+@slotted
 @dataclass
 class ExpiryRecord:
     """A gray message dropped after the 30-day quarantine."""
-
-    __slots__ = ("company_id", "user", "msg_id", "t")
 
     company_id: str
     user: str
@@ -223,11 +174,10 @@ class ExpiryRecord:
     t: float
 
 
+@slotted
 @dataclass
 class OutboundMailRecord:
     """Outgoing mail sent by a protected user."""
-
-    __slots__ = ("company_id", "t", "user", "rcpt", "size")
 
     company_id: str
     t: float
@@ -236,19 +186,10 @@ class OutboundMailRecord:
     size: int
 
 
+@slotted
 @dataclass
 class CrashRecord:
     """One injected component crash and what its recovery did."""
-
-    __slots__ = (
-        "company_id",
-        "t",
-        "component",
-        "downtime",
-        "redriven",
-        "lost",
-        "journal_ok",
-    )
 
     company_id: str
     t: float

@@ -38,21 +38,28 @@ from repro.analysis.records import (
 )
 from repro.blacklistd.monitor import ProbeObservation
 
-#: Names of the record-list attributes, in schema order.
-TABLES = (
-    "mta",
-    "dispatch",
-    "challenges",
-    "challenge_outcomes",
-    "web_access",
-    "releases",
-    "whitelist_changes",
-    "digests",
-    "expiries",
-    "outbound",
-    "probes",
-    "crashes",
+#: The measurement database, declared once: ``(store attribute, JSONL
+#: tag, record class)`` per table, in schema order. ``TABLES``, the
+#: store's constructor, the JSONL codec
+#: (:mod:`repro.analysis.persistence`) and the content digest all read
+#: it, and its order is the digest order.
+SCHEMA = (
+    ("mta", "mta", MtaRecord),
+    ("dispatch", "dispatch", DispatchRecord),
+    ("challenges", "challenge", ChallengeRecord),
+    ("challenge_outcomes", "outcome", ChallengeOutcomeRecord),
+    ("web_access", "web", WebAccessRecord),
+    ("releases", "release", ReleaseRecord),
+    ("whitelist_changes", "whitelist", WhitelistChangeRecord),
+    ("digests", "digest", DigestRecord),
+    ("expiries", "expiry", ExpiryRecord),
+    ("outbound", "outbound", OutboundMailRecord),
+    ("probes", "probe", ProbeObservation),
+    ("crashes", "crash", CrashRecord),
 )
+
+#: Names of the record-list attributes, in schema order.
+TABLES = tuple(table for table, _tag, _cls in SCHEMA)
 
 
 #: Marker tag for columnar-packed tables inside a pickled store.
@@ -255,28 +262,15 @@ class LogStore:
         self.spill = spill
         if spill is not None:
             os.makedirs(spill.directory, exist_ok=True)
-            for table in TABLES:
-                setattr(
-                    self,
-                    table,
-                    SpillTable(
-                        os.path.join(spill.directory, f"{table}.chunks"),
-                        spill.chunk_rows,
-                    ),
-                )
-        else:
-            self.mta: list[MtaRecord] = []
-            self.dispatch: list[DispatchRecord] = []
-            self.challenges: list[ChallengeRecord] = []
-            self.challenge_outcomes: list[ChallengeOutcomeRecord] = []
-            self.web_access: list[WebAccessRecord] = []
-            self.releases: list[ReleaseRecord] = []
-            self.whitelist_changes: list[WhitelistChangeRecord] = []
-            self.digests: list[DigestRecord] = []
-            self.expiries: list[ExpiryRecord] = []
-            self.outbound: list[OutboundMailRecord] = []
-            self.probes: list[ProbeObservation] = []
-            self.crashes: list[CrashRecord] = []
+        for table in TABLES:
+            setattr(
+                self,
+                table,
+                [] if spill is None else SpillTable(
+                    os.path.join(spill.directory, f"{table}.chunks"),
+                    spill.chunk_rows,
+                ),
+            )
         self._versions: dict[str, int] = {table: 0 for table in TABLES}
         self._index: Optional[AnalysisIndex] = None
 

@@ -280,7 +280,7 @@ def add_sim_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "continuously audit the message-lifecycle ledger (every "
-            "transition validated; equivalent to REPRO_AUDIT=1)"
+            "transition validated)"
         ),
     )
     parser.add_argument(
@@ -578,6 +578,7 @@ def _command_list(_args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.analysis.persistence import PersistenceError
     from repro.scenarios import ScenarioError
 
     parser = build_parser()
@@ -605,6 +606,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _command_list(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except PersistenceError as exc:
+        print(f"load error: {exc}", file=sys.stderr)
         return 2
     parser.print_help()
     return 1

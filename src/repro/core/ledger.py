@@ -26,8 +26,8 @@ Two operating modes:
   invariant (``accepted == sum of terminal buckets``, nothing left in
   quarantine) is checked after every run by
   :class:`~repro.experiments.runner.LedgerStats`.
-* **Audit (opt-in).** ``run_simulation(audit=True)``, ``--audit`` on the
-  CLI, or ``REPRO_AUDIT=1`` additionally tracks every message's current
+* **Audit (opt-in).** ``run_simulation(audit=True)`` or ``--audit`` on
+  the CLI additionally tracks every message's current
   state and validates each transition *as it happens* — an illegal edge
   (release after expiry, double finalize, a spool entry the ledger never
   saw) raises :class:`LedgerError` at the offending call, not at the end

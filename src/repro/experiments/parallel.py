@@ -103,6 +103,11 @@ class RunSummary:
         return self.error is not None
 
 
+#: ``json.dumps(..., sort_keys=True)`` builds a new encoder on every
+#: call; the digest encodes one payload per record, so it keeps one.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def store_digest(store: LogStore) -> str:
     """Content fingerprint of a measurement database.
 
@@ -112,8 +117,7 @@ def store_digest(store: LogStore) -> str:
     """
     digest = hashlib.sha256()
     for tag, payload in encoded_records(store):
-        digest.update(tag.encode("utf-8"))
-        digest.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        digest.update((tag + _SORTED_JSON(payload)).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -402,9 +402,8 @@ class RunSpec:
     #: :data:`~repro.net.faults.FAULT_PRESETS`), a :class:`FaultSettings`,
     #: or ``None`` for the scenario's weather, else a reliable substrate.
     faults: Union[str, FaultSettings, None] = None
-    #: Continuous lifecycle auditing (:mod:`repro.core.ledger`);
-    #: ``REPRO_AUDIT=1`` does the same. The end-of-run conservation
-    #: verdict is enforced either way.
+    #: Continuous lifecycle auditing (:mod:`repro.core.ledger`). The
+    #: end-of-run conservation verdict is enforced either way.
     audit: bool = False
     #: Component crashes: a preset name (``"rare"``, ``"flaky"``, see
     #: :data:`~repro.net.crashes.CRASH_PRESETS`), a :class:`CrashSettings`,
@@ -538,7 +537,6 @@ def _build_run(spec: RunSpec) -> RunState:
         faults = get_fault_preset(faults)
     if isinstance(crashes, str):
         crashes = get_crash_preset(crashes)
-    audit = spec.audit or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
     scale = spec.preset
     calibration = spec.calibration
     attacks = spec.scenario.build_attacks() if spec.scenario else []
@@ -576,7 +574,7 @@ def _build_run(spec: RunSpec) -> RunState:
             rng=streams.stream(f"antivirus/{company.company_id}"),
             hooks=hooks,
             challenge_size=calibration.challenge_size,
-            audit=audit,
+            audit=spec.audit,
             chain=spec.chain,
         )
         _seed_user_lists(installation, company, calibration)
@@ -614,7 +612,7 @@ def _build_run(spec: RunSpec) -> RunState:
     state = RunState(
         scale=scale,
         seed=spec.seed,
-        audit=audit,
+        audit=spec.audit,
         horizon=horizon,
         simulator=simulator,
         store=store,

@@ -36,10 +36,10 @@ underscore are layering bases, hidden from the registry. The check files
 of ``repro check`` (``checks/*.yaml``) are scenario files with a few
 more keys, read through :func:`load_file`.
 
-Parsing prefers PyYAML when importable; CI images without it fall back
-to a built-in parser for exactly the restricted subset above (nested
-mappings, lists of flat mappings, scalars, ``#`` comment lines). A test
-pins that both parsers read every pack file identically.
+Parsing is one built-in parser for exactly the restricted subset above
+(nested mappings, lists of flat mappings, scalars, ``#`` comment
+lines), whether or not PyYAML is installed. A test pins that it reads
+every pack and check file as PyYAML does.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _load_layered(path: Path, seen: tuple) -> dict:
     if resolved in seen:
         chain = " -> ".join(seen + (resolved,))
         raise ScenarioError(f"_base cycle: {chain}", str(path))
-    data = _parse_file(path)
+    data = _mini_parse(path.read_text(encoding="utf-8"), str(path))
     if not isinstance(data, dict):
         raise ScenarioError(
             f"scenario file must be a mapping, got {type(data).__name__}",
@@ -347,27 +347,17 @@ def _validate(spec: ScenarioSpec, path: str) -> None:
 # -- parsing -----------------------------------------------------------------
 
 
-def _parse_file(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
-    try:
-        import yaml
-    except ImportError:
-        return _mini_parse(text, str(path))
-    return yaml.safe_load(text)
-
-
 def _mini_parse(text: str, path: str = "") -> dict:
-    """Fallback parser for the restricted YAML subset of the pack and
-    the check files.
+    """The parser for the restricted YAML subset of the pack and the
+    check files.
 
     Supports: a top-level mapping; nested flat mappings; lists whose
     items are scalars or flat mappings (``- key: value`` with
     continuation keys two spaces deeper); flow-style scalar lists
     (``[a, b]``) and flat mappings (``{a: 1, b: x}``);
     int/float/bool/null/quoted scalars; full-line ``#`` comments. That
-    is the whole grammar those files use — anything else should be
-    authored with PyYAML available so the equivalence test can vouch
-    for it.
+    is the whole grammar those files use — anything else needs this
+    parser extended, with the PyYAML equivalence test vouching for it.
     """
     lines = []
     for raw in text.splitlines():

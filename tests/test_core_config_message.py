@@ -93,12 +93,22 @@ class TestMessageModel:
             message.extra = 1  # type: ignore[attr-defined]
 
     def test_slotted_classes_carry_no_instance_dict(self):
-        """Per-message and per-IP objects are the bulk of a run's memory;
-        a ``__dict__`` on either would move every peak-RSS figure."""
+        """Per-message, per-IP and per-log-record objects are the bulk of
+        a run's memory; a ``__dict__`` on any would move every peak-RSS
+        figure. Every store table's record is slotted except the
+        blacklist probe's."""
+        from repro.analysis.store import SCHEMA
+        from repro.blacklistd.monitor import ProbeObservation
         from repro.blacklistd.service import _IpState
 
         message = make_message(0.0, "s@x.com", "u@c.com")
-        for obj in (message, _IpState()):
+        records = [
+            cls(*range(len(fields(cls))))
+            for _table, _tag, cls in SCHEMA
+            if cls is not ProbeObservation
+        ]
+        assert len(records) == 11
+        for obj in (message, _IpState(), *records):
             cls = type(obj)
             assert cls.__slots__ == tuple(f.name for f in fields(cls))
             assert not hasattr(obj, "__dict__")

@@ -75,14 +75,6 @@ class TestAuditIsOutputInvariant:
         audited = run_simulation("tiny", seed=7, audit=True)
         assert store_digest(audited.store) == store_digest(baseline.store)
 
-    def test_env_var_enables_audit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        result = run_simulation("tiny", seed=7)
-        assert result.ledger_stats.audit is True
-        monkeypatch.setenv("REPRO_AUDIT", "0")
-        result = run_simulation("tiny", seed=7)
-        assert result.ledger_stats.audit is False
-
 
 class TestCachedEqualsUncachedWithAuditOn:
     def test_store_digests_identical(self, monkeypatch):

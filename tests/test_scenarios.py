@@ -68,8 +68,8 @@ class TestShippedPack:
         assert all(a is not b for a, b in zip(first, second))
 
     def test_mini_parser_matches_pyyaml_on_every_pack_file(self):
-        """The scenario pack and the check files both load without PyYAML
-        in CI, so the fallback parser must read each one identically."""
+        """The program reads the scenario pack and the check files with
+        its own parser only, so it must read each one as PyYAML does."""
         yaml = pytest.importorskip("yaml")
         checks = list(check_dir().glob("*.yaml"))
         assert checks, "no check files found"
