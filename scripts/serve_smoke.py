@@ -4,7 +4,8 @@
 Runs the full kill -9 chaos harness (:mod:`repro.serve.chaos`) — by
 default 20 randomized SIGKILL injections against a real ``repro serve``
 subprocess under open-loop load — and writes the machine-readable report
-(per-round ack counts, torn-tail observations, the clean-burst
+(per-round ack counts, torn-tail observations, each restart's
+recovered records and boot-to-ready seconds, the clean-burst
 throughput/latency record, and the final ledger reconciliation) to an
 artifact file. Exit code 0 means zero accepted-message loss across every
 kill plus a clean reconciled shutdown; any conservation violation raises
@@ -53,6 +54,8 @@ def main(argv=None) -> int:
         f"{report['cumulative_acked']} acked / "
         f"{report['final_reconciliation']['accepted']} accepted "
         f"(zero loss), {report['torn_tails_seen']} torn WAL tails repaired; "
+        f"final boot recovered {report['final_boot']['recovered_records']} "
+        f"records in {report['final_boot']['boot_to_ready_s']} s; "
         f"clean burst {burst['sustained_msgs_per_sec']} msgs/s, "
         f"p99 accept {burst['accept_latency_ms']['p99']} ms -> {args.artifact}"
     )

@@ -17,6 +17,7 @@ record's short keys from :data:`_KEYS`, one per dataclass field.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import json
 import typing
@@ -77,6 +78,43 @@ _KEYS = {
 }
 
 
+#: The decoded JSON types each plain annotation accepts: exact types, so
+#: ``true`` is no ``int``; an integral float (``0``) decodes as an int.
+_JSON_TYPES = {
+    str: frozenset({str}),
+    int: frozenset({int}),
+    float: frozenset({int, float}),
+    bool: frozenset({bool}),
+    type(None): frozenset({type(None)}),
+}
+
+
+def _json_types(hint) -> frozenset:
+    """The exact types of a decoded JSON value that fits *hint*, for a
+    plain or ``Optional`` plain annotation."""
+    if typing.get_origin(hint) is typing.Union:
+        return frozenset().union(*map(_json_types, typing.get_args(hint)))
+    return _JSON_TYPES[hint]
+
+
+def _type_error(name: str, hint, value) -> Optional[str]:
+    """Why a decoded JSON *value* does not fit the annotation *hint*, or
+    ``None``; a mapping annotation checks its keys and values too."""
+    origin = typing.get_origin(hint)
+    if isinstance(origin, type) and issubclass(origin, collections.abc.Mapping):
+        key_hint, value_hint = typing.get_args(hint)
+        if isinstance(value, dict) and all(
+            type(k) in _json_types(key_hint)
+            and type(v) in _json_types(value_hint)
+            for k, v in value.items()
+        ):
+            return None
+    elif type(value) in _json_types(hint):
+        return None
+    expected = getattr(hint, "__name__", None) or str(hint)
+    return f"{name}: expected {expected}, got {json.dumps(value)[:40]}"
+
+
 def _enum_field(hint) -> Optional[tuple]:
     """``(enum class, optional)`` for an enum-typed annotation, else None."""
     optional = typing.get_origin(hint) is typing.Union
@@ -112,6 +150,13 @@ class _Codec:
             for key, name in zip(self.keys, names)
             if (spec := _enum_field(hints[name])) is not None
         )
+        enum_keys = {key for key, _cls, _optional in self._enums}
+        #: ``(short key, accepted types, annotation)`` per other field.
+        self._plain = tuple(
+            (key, _json_types(hints[name]), hints[name])
+            for key, name in zip(self.keys, names)
+            if key not in enum_keys
+        )
 
     def encode(self, record) -> dict:
         payload = dict(zip(self.keys, self._values(record)))
@@ -126,6 +171,9 @@ class _Codec:
 
     def decode(self, payload: dict):
         values = {key: payload[key] for key in self.keys}
+        for key, types, hint in self._plain:
+            if type(values[key]) not in types:
+                raise ValueError(_type_error(key, hint, values[key]))
         for key, enum_cls, optional in self._enums:
             if values[key] is not None or not optional:
                 values[key] = enum_cls(values[key])
@@ -199,15 +247,7 @@ def load_run(path) -> LoadedRun:
                         f"{where}: unsupported schema "
                         f"{payload.get('schema')!r}"
                     )
-                raw = payload.get("info")
-                try:
-                    info = DeploymentInfo(
-                        **{f.name: raw[f.name] for f in fields(DeploymentInfo)}
-                    )
-                except (KeyError, TypeError) as exc:
-                    raise PersistenceError(
-                        f"{where}: bad header info: {exc}"
-                    ) from exc
+                info = _decode_info(payload.get("info"), where)
                 continue
             codec = _BY_TAG.get(tag) if isinstance(tag, str) else None
             if codec is None:
@@ -221,3 +261,23 @@ def load_run(path) -> LoadedRun:
     if info is None:
         raise PersistenceError(f"{path}: missing header line")
     return LoadedRun(store=store, info=info)
+
+
+def _decode_info(raw, where: str) -> DeploymentInfo:
+    """The header's :class:`DeploymentInfo`, every field present and of
+    its annotated type."""
+    if not isinstance(raw, dict):
+        raise PersistenceError(f"{where}: bad header info: {raw!r}")
+    hints = typing.get_type_hints(DeploymentInfo)
+    values = {}
+    for field in fields(DeploymentInfo):
+        if field.name not in raw:
+            raise PersistenceError(
+                f"{where}: bad header info: missing {field.name!r}"
+            )
+        value = raw[field.name]
+        problem = _type_error(field.name, hints[field.name], value)
+        if problem is not None:
+            raise PersistenceError(f"{where}: bad header info: {problem}")
+        values[field.name] = value
+    return DeploymentInfo(**values)

@@ -14,6 +14,11 @@ the conservation contract against ``/stats``:
   die on the wire with the process; at-least-once, never at-most-zero),
 * ``accepted`` never moves backwards across a restart.
 
+Each round also records what the restart cost as the WAL grows: the
+records the boot recovered, its seconds from process launch to a 200
+from ``/readyz``, and the durable records the kill left behind, counted
+by the WAL's own reader (:func:`~repro.serve.wal.scan_payloads`).
+
 A final graceful SIGTERM checks the other half of the story: clean
 drain, exit code 0, shutdown reconciliation printed and conserved. The
 harness is a library so the pytest suite and ``scripts/serve_smoke.py``
@@ -32,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.serve.sstress import StressConfig, http_get, run_stress
+from repro.serve.wal import scan_payloads
 
 #: How long to wait for the subprocess to announce its ports and pass
 #: /readyz. World building at the test presets takes low seconds; CI
@@ -61,10 +67,13 @@ class ServerProcess:
     web_port: int = 0
     process: Optional[asyncio.subprocess.Process] = None
     endpoints: dict = field(default_factory=dict)
+    #: Seconds from launch to the first 200 from ``/readyz``.
+    boot_s: float = 0.0
 
     async def start(self) -> dict:
         if os.path.exists(self.endpoints_file):
             os.unlink(self.endpoints_file)  # stale announcement = lies
+        launched = asyncio.get_running_loop().time()
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -103,6 +112,7 @@ class ServerProcess:
             try:
                 status, _ = await http_get(self.host, self.web_port, "/readyz")
                 if status == 200:
+                    self.boot_s = asyncio.get_running_loop().time() - launched
                     break
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 pass
@@ -212,6 +222,9 @@ async def run_chaos(
                 "errors": report["errors"],
                 "codes": report["codes"],
                 "torn_tail_bytes_on_boot": torn,
+                "recovered_records": server.endpoints["recovered_records"],
+                "boot_to_ready_s": round(server.boot_s, 3),
+                "wal_records_after_kill": len(scan_payloads(wal_path)[0]),
             }
         )
 
@@ -254,6 +267,10 @@ async def run_chaos(
         "torn_tails_seen": sum(
             1 for r in rounds if r["torn_tail_bytes_on_boot"]
         ),
+        "final_boot": {
+            "recovered_records": server.endpoints["recovered_records"],
+            "boot_to_ready_s": round(server.boot_s, 3),
+        },
         "clean_burst": clean,
         "clean_stats": clean_stats,
     }

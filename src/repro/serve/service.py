@@ -29,7 +29,9 @@ recovery is deterministic.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Union
 
 from repro.analysis.store import LogStore
@@ -53,6 +55,7 @@ from repro.serve.admission import DegradationLadder
 from repro.serve.retry import RetryPolicy, backoff_factory
 from repro.serve.wal import WriteAheadLog
 from repro.sim.engine import Simulator
+from repro.util.gcpause import CollectorPause
 from repro.util.metrics import short_names
 from repro.util.rng import RngStreams
 from repro.util.simtime import DAY
@@ -248,10 +251,19 @@ class LiveCrService:
     def recover(self) -> dict:
         """Open the WAL, replay every record through the engine, reconcile
         against the ledger. Returns the reconciliation report. Must be
-        called (once) before serving."""
-        records = self.wal.open()
-        for seq, record in enumerate(records, start=1):
-            self._apply(seq, record)
+        called (once) before serving.
+
+        The replay decodes the log a bounded batch at a time and drops
+        each batch once applied, so it never holds the whole log. It runs
+        with the cyclic collector paused (:class:`CollectorPause`): it
+        only grows long-lived engine state, which automatic full passes
+        would re-traverse for nothing. An empty log skips the pause and
+        its two full passes."""
+        if self.wal.open():
+            with CollectorPause():
+                records = chain.from_iterable(self.wal.batches())
+                for seq, record in enumerate(records, start=1):
+                    self._apply(seq, record)
         self._last_t = self.simulator.now
         self._sim_serve_base = self.simulator.now
         self._wall_base = time.monotonic()
@@ -365,14 +377,18 @@ class LiveCrService:
             if subject.startswith(prefix):
                 kind = stamped_kind
                 break
+        # The engine keeps the envelope strings (quarantine, store rows);
+        # interned, it keeps one copy of each sender, recipient and IP
+        # however many records repeat it.
+        intern = sys.intern
         message = EmailMessage(
             msg_id=seq,
             t=record["t"],
-            env_from=record["mail_from"],
-            env_to=record["rcpt_to"],
+            env_from=intern(record["mail_from"]),
+            env_to=intern(record["rcpt_to"]),
             subject=subject,
             size=record["size"],
-            client_ip=record.get("client_ip", ""),
+            client_ip=intern(record.get("client_ip", "")),
             kind=kind,
             sender_class=SenderClass.REAL,
             campaign_id=record.get("campaign"),

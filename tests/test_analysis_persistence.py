@@ -164,6 +164,37 @@ class TestErrorHandling:
         ):
             load_run(path)
 
+    def test_header_info_wrong_type(self, tmp_path, tiny_result):
+        """A header field of the wrong type is refused at load, not left
+        to fail inside an analysis (``DeploymentInfo.total_users``)."""
+        from repro.analysis.store import LogStore
+
+        path = tmp_path / "bad.jsonl"
+        save_run(LogStore(), tiny_result.info, path)
+        header = json.loads(path.read_text())
+        header["info"]["users_per_company"] = [5]
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(
+            PersistenceError,
+            match=r"bad\.jsonl:1: bad header info: users_per_company",
+        ):
+            load_run(path)
+
+    def test_record_field_wrong_type(self, tmp_path, tiny_result):
+        from repro.analysis.store import LogStore
+
+        path = tmp_path / "bad.jsonl"
+        save_run(LogStore(), tiny_result.info, path)
+        with open(path, "a") as handle:
+            handle.write(json.dumps({
+                "type": "mta", "c": "c0", "t": "noon", "m": 1, "d": None,
+                "o": False, "s": 100,
+            }) + "\n")
+        with pytest.raises(
+            PersistenceError, match=r"bad\.jsonl:2: bad mta record: t: "
+        ):
+            load_run(path)
+
     def test_line_that_is_not_an_object(self, tmp_path, tiny_result):
         from repro.analysis.store import LogStore
 
@@ -210,6 +241,23 @@ class TestCliIntegration:
         assert main(["experiment", "sec31", "--load", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("load error: ") and "bad.jsonl:1:" in err
+
+    def test_mistyped_header_is_a_clean_cli_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cli.jsonl"
+        assert main(
+            ["run", "--preset", "tiny", "--seed", "3", "--save", str(path)]
+        ) == 0
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["info"]["users_per_company"] = [5]
+        lines[0] = json.dumps(header) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["experiment", "tab1", "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("load error: ") and "cli.jsonl:1:" in err
 
 
 def _field_strategy(hint):

@@ -40,6 +40,15 @@ def test_kill9_zero_loss_two_rounds(tmp_path):
     assert final["accepted"] >= sum(r["acked_this_burst"] for r in report["rounds"])
     assert report["clean_burst"]["errors"] == 0
     assert report["clean_burst"]["accept_latency_ms"]["p99"] > 0
+    # Each restart recovered exactly the durable records the kill before
+    # it left, as the WAL reader counts them.
+    rounds = report["rounds"]
+    assert rounds[0]["recovered_records"] == 0
+    for before, after in zip(rounds, rounds[1:]):
+        assert after["recovered_records"] == before["wal_records_after_kill"]
+    final_boot = report["final_boot"]
+    assert final_boot["recovered_records"] == rounds[-1]["wal_records_after_kill"]
+    assert all(r["boot_to_ready_s"] > 0 for r in rounds + [final_boot])
     # /stats after the clean burst: the map, the reconciliation and the
     # benchmark harness's short names agree.
     stats = report["clean_stats"]
