@@ -11,7 +11,6 @@ built service, in total and per record.
 Usage::
 
     PYTHONPATH=src python scripts/recovery_profile.py
-    PYTHONPATH=src python scripts/recovery_profile.py --records 15000 45000
 
 The recovering process imports ``repro`` from ``PYTHONPATH``, so pointing
 it at another checkout's ``src`` measures that tree against the same
@@ -25,28 +24,37 @@ import gc
 import json
 import os
 import pathlib
-import resource
 import subprocess
 import sys
 import tempfile
 import time
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+#: WAL lengths measured, in records (DESIGN.md §15's table).
+RECORDS = (15_000, 45_000, 135_000)
+#: Seed of the ``small`` deployment and of the synthesized WAL.
+SEED = 3
 
 
-def _rss_kb() -> int:
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
+def _status_kb(field: str) -> int:
+    """``VmRSS`` (resident now) or ``VmHWM`` (its peak) of this process.
+    ``VmHWM`` starts afresh at exec, unlike ``ru_maxrss``, which a child
+    inherits from the process that forked it."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
 
 
-def recover_once(seed: int, wal: str) -> dict:
+def recover_once(wal: str) -> dict:
     """Build the service, then time its recovery of *wal* with a
     ``gc.callbacks`` hook counting full collector passes."""
     from repro.serve.service import LiveCrService
 
-    service = LiveCrService("small", seed, wal)
+    service = LiveCrService("small", SEED, wal)
     gc.collect()
-    before_kb = _rss_kb()
+    before_kb = _status_kb("VmRSS")
     passes = []
 
     def clock(phase: str, info: dict) -> None:
@@ -58,7 +66,7 @@ def recover_once(seed: int, wal: str) -> dict:
     report = service.recover()
     seconds = time.perf_counter() - started
     gc.callbacks.remove(clock)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = _status_kb("VmHWM")
     return {
         "records": report["wal_records"],
         "reconciled": report["reconciled"],
@@ -71,14 +79,10 @@ def recover_once(seed: int, wal: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--records", type=int, nargs="+",
-                        default=[15_000, 45_000, 135_000])
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--child", nargs=2, metavar=("SEED", "WAL"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--child", metavar="WAL", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(recover_once(int(args.child[0]), args.child[1])))
+        print(json.dumps(recover_once(args.child)))
         return 0
 
     sys.path.insert(0, str(PERFBENCH))
@@ -87,10 +91,10 @@ def main(argv=None) -> int:
     print("records  recover_s  full_passes  passes_s  peak_growth_MB  KB/record")
     with tempfile.TemporaryDirectory(prefix="recovery_profile_") as tmp:
         wal = os.path.join(tmp, "recover.wal")
-        for records in args.records:
-            synthesize_wal(wal, args.seed, records)
+        for records in RECORDS:
+            synthesize_wal(wal, SEED, records)
             done = subprocess.run(
-                [sys.executable, __file__, "--child", str(args.seed), wal],
+                [sys.executable, __file__, "--child", wal],
                 stdout=subprocess.PIPE, check=True)
             row = json.loads(done.stdout.decode().splitlines()[-1])
             if not row["reconciled"] or row["records"] != records:

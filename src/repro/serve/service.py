@@ -29,7 +29,6 @@ recovery is deterministic.
 from __future__ import annotations
 
 import asyncio
-import sys
 import time
 from itertools import chain
 from typing import Dict, List, Optional, Union
@@ -197,6 +196,16 @@ class LiveCrService:
         )
         self._register_live_senders()
         self._route_cache: Dict[str, Optional[CompanyInstallation]] = {}
+        #: Each user's mailbox, mapped to itself: the one copy of a
+        #: recipient address that every applied message shares.
+        self._mailboxes: Dict[str, str] = {
+            mailbox: mailbox
+            for installation in self.installations.values()
+            for mailbox in (
+                f"{local}@{installation.config.domain}"
+                for local in installation.config.users
+            )
+        }
 
         self.last_reconciliation: dict = {}
         #: Sim time of the last applied/stamped record (monotonic floor).
@@ -377,18 +386,19 @@ class LiveCrService:
             if subject.startswith(prefix):
                 kind = stamped_kind
                 break
-        # The engine keeps the envelope strings (quarantine, store rows);
-        # interned, it keeps one copy of each sender, recipient and IP
-        # however many records repeat it.
-        intern = sys.intern
+        # The engine keeps the recipient (quarantine, store rows). Mail it
+        # accepts for its own domain goes to a known user, so taking the
+        # mailbox's shared copy holds one string per user however many
+        # records name it; senders and client IPs have no such bounded set.
+        rcpt_to = record["rcpt_to"]
         message = EmailMessage(
             msg_id=seq,
             t=record["t"],
-            env_from=intern(record["mail_from"]),
-            env_to=intern(record["rcpt_to"]),
+            env_from=record["mail_from"],
+            env_to=self._mailboxes.get(rcpt_to, rcpt_to),
             subject=subject,
             size=record["size"],
-            client_ip=intern(record.get("client_ip", "")),
+            client_ip=record.get("client_ip", ""),
             kind=kind,
             sender_class=SenderClass.REAL,
             campaign_id=record.get("campaign"),

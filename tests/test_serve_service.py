@@ -9,6 +9,7 @@ reconcile exactly (in-process, no kills: ``accepted == acked``).
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -163,6 +164,24 @@ class TestServiceCore:
                 ) == 3
 
         asyncio.run(scenario())
+
+    def test_applied_mail_shares_the_mailbox_string(self, tmp_path):
+        """Two decoded records for one user leave one recipient string in
+        the store, the mailbox's own; an unknown address passes as is."""
+        service = LiveCrService(wal_path=str(tmp_path / "serve.wal"))
+        service.recover()
+        sender, users = pick_targets(service)
+        ghost = "nobody-" + users[0]
+        for seq, rcpt in enumerate([users[0], users[0], ghost]):
+            record = json.loads(json.dumps({
+                "kind": "mail", "mail_from": sender, "rcpt_to": rcpt,
+                "size": 100, "subject": "lunch plans", "t": float(seq),
+            }))
+            service._apply(seq, record)
+        first, second = service.store.dispatch
+        assert first.user == second.user == users[0]
+        assert first.user is second.user is service._mailboxes[users[0]]
+        assert service.store.mta[-1].drop_reason is not None
 
     def test_unrouted_recipient_accounted_not_lost(self, tmp_path):
         async def scenario():
