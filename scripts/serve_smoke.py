@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import shutil
 import sys
 import tempfile
 
@@ -35,7 +36,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workdir",
         default=None,
-        help="WAL/endpoints directory (default: a fresh temp dir)",
+        help=(
+            "WAL/endpoints directory, kept afterwards (default: a fresh "
+            "temp dir, removed on exit)"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -45,6 +49,10 @@ def main(argv=None) -> int:
     except ChaosError as exc:
         print(f"CHAOS GATE FAILED: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # A --workdir the caller passed is theirs to keep.
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
     with open(args.artifact, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -9,7 +9,6 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     description=(
         "Reproduction of 'Measurement and Evaluation of a Real World "
         "Deployment of a Challenge-Response Spam Filter' (IMC 2011)"

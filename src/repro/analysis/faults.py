@@ -215,7 +215,7 @@ def render(store: LogStore, fault_stats=None) -> str:
 
 
 def render_result(result) -> str:
-    """Registry adapter: renders from a full
-    :class:`~repro.experiments.runner.SimulationResult` (or anything with a
-    ``store``; ``fault_stats`` is optional so loaded/summarised runs work)."""
-    return render(result.store, getattr(result, "fault_stats", None))
+    """Registry adapter: renders from a
+    :class:`~repro.experiments.runner.RunRecord`; a loaded one has no
+    ``fault_stats`` and renders the store's view only."""
+    return render(result.store, result.fault_stats)

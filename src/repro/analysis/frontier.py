@@ -152,7 +152,7 @@ def run_frontier(
     :class:`~repro.experiments.parallel.ParallelRunner` as *runner* to
     share its result cache and counters.
     """
-    from repro.experiments.parallel import ParallelRunner, RunSpec
+    from repro.experiments.parallel import ParallelRunner, RunFailure, RunSpec
     from repro.scenarios import scenario_names
 
     if scenarios is None:
@@ -180,15 +180,15 @@ def run_frontier(
                     )
                 )
                 index.append((scenario or CLEAN, chain_label))
-    summaries = runner.run(specs)
+    runs = runner.run(specs)
 
     totals: dict = {}
-    for (row, column), summary in zip(index, summaries):
+    for (row, column), run in zip(index, runs):
         cell = totals.setdefault((row, column), [0, 0, 0, 0, 0])
-        if summary.failed:
+        if isinstance(run, RunFailure):
             cell[4] += 1
             continue
-        counts = delivery_counts(summary.store)
+        counts = delivery_counts(run.store)
         for position, count in enumerate(counts):
             cell[position] += count
 

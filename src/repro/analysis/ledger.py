@@ -7,13 +7,14 @@ auditor caught, and a reconciliation of the ledger's counters against the
 measurement store's own records (dispatch / release / expiry tables) — two
 independently-maintained views of the same population that must agree.
 
-Works in three modes:
+Works in three modes, all from one
+:class:`~repro.experiments.runner.RunRecord`:
 
-* a live :class:`~repro.experiments.runner.SimulationResult` with
-  ``ledger_stats`` — the full report;
+* a simulated or cached run, whose metrics give ``ledger_stats`` — the
+  full report;
 * the same but from an audited run — adds the per-message stranded table
   (empty on a conserving run);
-* a loaded or summarised run (no ``ledger_stats``) — renders the
+* a loaded run (empty metrics, so no ``ledger_stats``) — renders the
   store-side view only and says the runtime verdict is unavailable.
 """
 
@@ -253,7 +254,7 @@ def render(store: LogStore, ledger_stats=None) -> str:
 
 
 def render_result(result) -> str:
-    """Registry adapter: renders from a full
-    :class:`~repro.experiments.runner.SimulationResult` (or anything with a
-    ``store``; ``ledger_stats`` is optional so loaded/summarised runs work)."""
-    return render(result.store, getattr(result, "ledger_stats", None))
+    """Registry adapter: renders from a
+    :class:`~repro.experiments.runner.RunRecord`; a loaded one has no
+    ``ledger_stats`` and renders the store-only mode."""
+    return render(result.store, result.ledger_stats)

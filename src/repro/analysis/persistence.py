@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import collections.abc
 import enum
+import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from operator import attrgetter
 from typing import Optional
 
@@ -47,14 +48,6 @@ SCHEMA_VERSION = 1
 
 class PersistenceError(ValueError):
     """Raised on malformed or incompatible log files."""
-
-
-@dataclass(frozen=True)
-class LoadedRun:
-    """A persisted run, sufficient for every analysis (store + info)."""
-
-    store: LogStore
-    info: DeploymentInfo
 
 
 #: Each record type's short JSON keys, one per dataclass field, in field
@@ -190,12 +183,30 @@ def encoded_records(store: LogStore):
 
     The payloads are the exact JSON-ready dicts :func:`save_run` writes,
     which makes this the canonical byte-stable serialisation of a store —
-    the parallel runner hashes it to fingerprint a run's content.
+    :func:`store_digest` hashes it to fingerprint a run's content.
     """
     for codec in _TABLE_CODECS:
         encode = codec.encode
         for record in getattr(store, codec.table):
             yield codec.tag, encode(record)
+
+
+#: ``json.dumps(..., sort_keys=True)`` builds a new encoder on every
+#: call; the digest encodes one payload per record, so it keeps one.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
+def store_digest(store: LogStore) -> str:
+    """Content fingerprint of a measurement database.
+
+    Hashes the same JSON payloads :func:`save_run` would write, so the
+    digest is stable across processes, platforms, and hash-seed
+    randomisation.
+    """
+    digest = hashlib.sha256()
+    for tag, payload in encoded_records(store):
+        digest.update((tag + _SORTED_JSON(payload)).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def save_run(store: LogStore, info: DeploymentInfo, path) -> int:
@@ -215,12 +226,15 @@ def save_run(store: LogStore, info: DeploymentInfo, path) -> int:
     return written
 
 
-def load_run(path) -> LoadedRun:
-    """Read a file written by :func:`save_run`.
+def load_run(path):
+    """Read a file written by :func:`save_run` into a
+    :class:`~repro.experiments.runner.RunRecord` with empty ``metrics``.
 
     Every malformed line raises :class:`PersistenceError` naming the
     path and line number.
     """
+    from repro.experiments.runner import RunRecord
+
     store = LogStore()
     info: Optional[DeploymentInfo] = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -260,7 +274,7 @@ def load_run(path) -> LoadedRun:
                 ) from exc
     if info is None:
         raise PersistenceError(f"{path}: missing header line")
-    return LoadedRun(store=store, info=info)
+    return RunRecord(store=store, info=info)
 
 
 def _decode_info(raw, where: str) -> DeploymentInfo:

@@ -10,9 +10,9 @@ the simulation harness itself.
 
 Crash events are regular log records (the ``crashes`` table), so a
 persisted run replays this report offline like any other; the injection
-counters and checkpoint timings live on the
-:class:`~repro.experiments.runner.SimulationResult` and are appended when
-the caller has them.
+counters and checkpoint timings live in the
+:class:`~repro.experiments.runner.RunRecord`'s metrics and are appended
+when it has them.
 """
 
 from __future__ import annotations
@@ -171,8 +171,9 @@ def render(
     metrics: Optional[dict] = None,
     restored_from: Optional[str] = None,
 ) -> str:
-    """Full crash-and-recovery report; the run's metrics map (optional)
-    appends its injection counters and harness overhead."""
+    """Full crash-and-recovery report; the run's metrics map (empty or
+    ``None`` for a loaded run) appends its injection counters and harness
+    overhead."""
     breakdown = compute(store)
     parts = []
     if breakdown.components:
@@ -188,22 +189,15 @@ def render(
         )
     else:
         parts.append("no component crashes (crash injection off or quiet run)")
-    if metrics is not None and metrics["crashes.enabled"]:
+    if metrics and metrics["crashes.enabled"]:
         parts.append(build_crash_counter_table(metrics).render())
-    if metrics is not None and (
-        metrics["checkpoint.written"] or restored_from
-    ):
+    if metrics and (metrics["checkpoint.written"] or restored_from):
         parts.append(build_checkpoint_table(metrics, restored_from).render())
     return "\n\n".join(parts)
 
 
 def render_result(result) -> str:
-    """Registry adapter: renders from a full
-    :class:`~repro.experiments.runner.SimulationResult` (or anything with
-    a ``store``; ``metrics`` is optional so loaded/summarised runs
-    work)."""
-    return render(
-        result.store,
-        getattr(result, "metrics", None),
-        getattr(result, "restored_from", None),
-    )
+    """Registry adapter: renders from a
+    :class:`~repro.experiments.runner.RunRecord`; a loaded one has empty
+    ``metrics`` and renders the store's crash records only."""
+    return render(result.store, result.metrics, result.restored_from)

@@ -203,32 +203,13 @@ class VariabilitySweep:
         return [stats.correlation(a, b) for _seed, stats in self.per_seed]
 
 
-def sweep_seeds(
-    preset="tiny",
-    seeds: Sequence[int] = (3, 5, 7),
-    jobs: int = 1,
-    runner=None,
-) -> VariabilitySweep:
-    """Re-run the deployment at every seed (fanned out over *jobs*
-    processes) and recompute the Fig. 5 statistics per run.
-
-    Pass an existing :class:`~repro.experiments.parallel.ParallelRunner`
-    as *runner* to share its cache and hit counters across studies.
-    """
-    from repro.experiments.parallel import ParallelRunner, RunSpec
-
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
-    summaries = runner.run([RunSpec(preset=preset, seed=s) for s in seeds])
-    return sweep_from_summaries(summaries)
-
-
-def sweep_from_summaries(summaries) -> VariabilitySweep:
-    """Fig. 5 sweep over already-executed runs (shared fan-outs)."""
+def sweep_from_summaries(records) -> VariabilitySweep:
+    """Fig. 5 sweep over already-executed runs (shared fan-outs), one
+    :class:`~repro.experiments.runner.RunRecord` per seed."""
     return VariabilitySweep(
         per_seed=tuple(
-            (summary.seed, compute(summary.store, summary.info))
-            for summary in summaries
+            (record.seed, compute(record.store, record.info))
+            for record in records
         )
     )
 

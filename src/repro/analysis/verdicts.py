@@ -399,7 +399,7 @@ def render(verdict: ScenarioVerdict, description: str = "") -> str:
 def render_result(result) -> str:
     """Experiment-registry adapter: verdict table for a scenario run, a
     fixed notice otherwise (so scenario-free reports stay byte-stable)."""
-    spec = getattr(result, "scenario", None)
+    spec = result.scenario
     if spec is None:
         return (
             "Scenario verdicts\n"

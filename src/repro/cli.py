@@ -374,15 +374,15 @@ def _load_or_run(args: argparse.Namespace):
 
 def format_run_metrics(result) -> str:
     """A finished run's metrics map, one ``name  value`` line each
-    (``repro run``, ``repro check`` and ``scripts/profile_run.py`` print
-    this)."""
+    (``repro run``, ``repro sweep``, ``repro check`` and
+    ``scripts/profile_run.py`` print this)."""
     return format_metrics(result.metrics)
 
 
 def _command_run(args: argparse.Namespace) -> int:
     result = _load_or_run(args)
     counts = result.store.summary_counts()
-    wall = getattr(result, "wall_seconds", None)
+    wall = result.wall_seconds
     suffix = f" ({wall:.1f}s wall time)" if wall is not None else " (loaded)"
     print(
         f"{counts['mta']:,} messages, {result.info.n_companies} companies, "
@@ -390,9 +390,9 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     for name, value in counts.items():
         print(f"  {name:20s} {value:,}")
-    if getattr(result, "metrics", None) is not None:
+    if result.metrics:
         print(format_run_metrics(result))
-    scenario = getattr(result, "scenario", None)
+    scenario = result.scenario
     if scenario is not None and scenario.verdicts:
         from repro.analysis import verdicts
 
@@ -443,7 +443,7 @@ def _command_company(args: argparse.Namespace) -> int:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import frontier, variability
-    from repro.experiments.parallel import ParallelRunner, RunCache
+    from repro.experiments.parallel import ParallelRunner, RunCache, RunFailure
 
     if args.runs < 1:
         print("--runs must be >= 1", file=sys.stderr)
@@ -460,21 +460,24 @@ def _command_sweep(args: argparse.Namespace) -> int:
         f"with jobs={args.jobs} ..."
     )
     spec = spec_from_args(args)
-    summaries = runner.run([replace(spec, seed=seed) for seed in seeds])
-    failed = [s for s in summaries if s.failed]
-    for summary in failed:
+    runs = runner.run([replace(spec, seed=seed) for seed in seeds])
+    failed = [run for run in runs if isinstance(run, RunFailure)]
+    for failure in failed:
         print(
-            f"seed {summary.seed} failed after retry:\n{summary.error}",
+            f"seed {failure.seed} failed after retry:\n{failure.error}",
             file=sys.stderr,
         )
-    summaries = [s for s in summaries if not s.failed]
-    if not summaries:
+    records = [run for run in runs if not isinstance(run, RunFailure)]
+    if not records:
         print("every run in the sweep failed", file=sys.stderr)
         return 1
+    for record in records:
+        print(f"\nseed {record.seed} metrics:")
+        print(format_run_metrics(record))
     print()
-    print(variability.render_sweep(variability.sweep_from_summaries(summaries)))
+    print(variability.render_sweep(variability.sweep_from_summaries(records)))
     print()
-    print(frontier.render_sweep(summaries))
+    print(frontier.render_sweep(records))
     print(
         f"\n{runner.runs_executed} simulated, {runner.cache_hits} from cache, "
         f"{len(failed)} failed"

@@ -3,6 +3,7 @@ fanned out over a process pool), then regenerate each of the paper's
 tables and figures from its logs."""
 
 from repro.experiments.runner import (
+    RunRecord,
     RunSpec,
     SimulationResult,
     run_simulation,
@@ -12,7 +13,7 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.parallel import (
     ParallelRunner,
     RunCache,
-    RunSummary,
+    RunFailure,
     run_specs,
 )
 
@@ -20,11 +21,12 @@ __all__ = [
     "run_simulation",
     "simulate",
     "SimulationResult",
+    "RunRecord",
     "EXPERIMENTS",
     "run_experiment",
     "ParallelRunner",
     "RunCache",
     "RunSpec",
-    "RunSummary",
+    "RunFailure",
     "run_specs",
 ]

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.analysis import verdicts
 from repro.core.recovery import latest_checkpoint
-from repro.experiments.parallel import store_digest
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import RunSpec, simulate
 from repro.scenarios import ScenarioError, ScenarioSpec, scenario_names
@@ -162,7 +161,7 @@ def _same_as(result, spec: RunSpec, overrides: dict) -> bool:
         for name in sorted(ours.keys() | theirs.keys())
         if ours.get(name) != theirs.get(name)
     ]
-    if store_digest(other.store) != store_digest(result.store):
+    if other.digest != result.digest:
         problems.insert(0, "store digest differs")
     if problems:
         print(f"same_as {label}: FAIL ({'; '.join(problems)})")

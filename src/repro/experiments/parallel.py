@@ -8,19 +8,21 @@ merges the results back **in spec order**, so callers see exactly the
 list they would have produced serially:
 
     specs = [RunSpec("tiny", seed=s) for s in (3, 5, 7, 11)]
-    summaries = run_specs(specs, jobs=4)
+    records = run_specs(specs, jobs=4)
 
 Three design points worth knowing:
 
 * **The pickling boundary.** :class:`~repro.experiments.runner.SimulationResult`
   holds live objects — the :class:`~repro.sim.engine.Simulator` with its
   scheduled closures, the installations, the monitor — none of which can
-  cross a process boundary. Workers therefore ship back a
-  :class:`RunSummary`: the :class:`~repro.analysis.store.LogStore` record
-  lists plus :class:`~repro.analysis.context.DeploymentInfo`, the static
-  per-company configs, the seed, the wall time, and a content digest of
-  the records. Everything the analysis layer consumes is in there; the
-  live simulation machinery stays in the worker and dies with it.
+  cross a process boundary. Workers therefore ship back its
+  :class:`~repro.experiments.runner.RunRecord`: the
+  :class:`~repro.analysis.store.LogStore` record lists, the
+  :class:`~repro.analysis.context.DeploymentInfo`, the static per-company
+  configs, the seed, the scenario, the metrics map, the ledger snapshots,
+  the wall time and the store's content digest, computed in the worker.
+  Everything the analysis layer consumes is in there; the live
+  simulation machinery stays in the worker and dies with it.
 
 * **Serial bypass.** ``jobs=1`` never touches ``multiprocessing`` at all:
   specs execute inline, in order, in the calling process — bit-for-bit
@@ -31,7 +33,7 @@ Three design points worth knowing:
 * **The result cache.** Each spec hashes to a key covering every
   resolved :class:`~repro.experiments.runner.RunSpec` field that changes
   the run (scale config, seed, calibration, config overrides, weather,
-  scenario, chain, ...) and the package version; summaries are pickled
+  scenario, chain, ...) and the package version; records are pickled
   under ``.cache/runs/<key>.pkl``
   (override with ``$REPRO_CACHE_DIR``). Re-running a benchmark or ablation
   sweep with an unchanged spec set performs zero simulations. The runner
@@ -41,8 +43,6 @@ Three design points worth knowing:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import pickle
@@ -50,16 +50,15 @@ import tempfile
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.analysis.context import DeploymentInfo
-from repro.analysis.persistence import encoded_records
-from repro.analysis.store import TABLES, LogStore
-from repro.core.config import CompanyConfig
+# ``parallel.store_digest`` is the name callers fingerprint a store by.
+from repro.analysis.persistence import store_digest  # noqa: F401
+from repro.analysis.store import TABLES
 from repro.core.recovery import latest_checkpoint
-from repro.experiments.runner import RunSpec, SimulationResult, simulate
+from repro.experiments.runner import RunRecord, RunSpec, simulate
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".cache/runs"
@@ -69,73 +68,14 @@ DEFAULT_CACHE_DIR = ".cache/runs"
 DEFAULT_CHECKPOINT_ROOT = ".cache/checkpoints"
 
 
-@dataclass
-class RunSummary:
-    """The picklable cross-process residue of one simulation run.
+@dataclass(frozen=True)
+class RunFailure:
+    """A spec whose run raised, and raised again on its retry. It holds
+    a sweep's slot in place of a record and is never cached."""
 
-    Carries the full measurement database (:class:`LogStore` — record
-    lists only, indices dropped) plus the static facts analyses and
-    ablation reports need. Live objects (simulator, installations,
-    world) never leave the worker.
-    """
-
-    store: LogStore
-    info: DeploymentInfo
-    #: Static per-company configuration (company_id -> config); stands in
-    #: for ``SimulationResult.installations`` in config-level analyses
-    #: such as the dual-MTA ablation.
-    company_configs: dict[str, CompanyConfig] = field(default_factory=dict)
-    seed: int = 0
-    wall_seconds: float = 0.0
-    #: SHA-256 over the canonical JSON encoding of every record, in codec
-    #: order — two runs with equal digests produced identical logs.
-    digest: str = ""
-    #: The run's resolved :class:`~repro.scenarios.ScenarioSpec`
-    #: (``None`` for scenario-free runs).
-    scenario: object = None
-    #: Traceback text when the spec ultimately failed (after its retry);
-    #: ``None`` for a successful run. A failed summary carries an empty
-    #: store and is never written to the cache.
-    error: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-#: ``json.dumps(..., sort_keys=True)`` builds a new encoder on every
-#: call; the digest encodes one payload per record, so it keeps one.
-_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
-
-
-def store_digest(store: LogStore) -> str:
-    """Content fingerprint of a measurement database.
-
-    Hashes the same JSON payloads :func:`repro.analysis.persistence.save_run`
-    would write, so the digest is stable across processes, platforms, and
-    hash-seed randomisation.
-    """
-    digest = hashlib.sha256()
-    for tag, payload in encoded_records(store):
-        digest.update((tag + _SORTED_JSON(payload)).encode("utf-8"))
-    return digest.hexdigest()
-
-
-def summarize_result(result: SimulationResult) -> RunSummary:
-    """Boil a live :class:`SimulationResult` down to its picklable summary."""
-    result.store.drop_indices()
-    return RunSummary(
-        store=result.store,
-        info=result.info,
-        company_configs={
-            company_id: installation.config
-            for company_id, installation in result.installations.items()
-        },
-        seed=result.seed,
-        wall_seconds=result.wall_seconds,
-        digest=store_digest(result.store),
-        scenario=result.scenario,
-    )
+    seed: int
+    #: The retry's traceback text.
+    error: str
 
 
 def _spec_checkpoint_dir(spec: RunSpec, checkpoint_root) -> Optional[str]:
@@ -155,8 +95,8 @@ def _execute_spec(
     spec: RunSpec,
     checkpoint_root: Union[str, Path, None] = None,
     resume: bool = False,
-) -> RunSummary:
-    """Worker entry point: one full simulation, summarised. Module-level
+) -> RunRecord:
+    """Worker entry point: one full simulation, as its record. Module-level
     so the process pool can pickle it.
 
     With *resume* set, a checkpointing spec first looks for its newest
@@ -164,22 +104,24 @@ def _execute_spec(
     is how a retried run avoids redoing the part that already ran.
 
     A spec with ``spill_dir`` spills into a private temporary directory
-    under it, and its summary is pulled back into memory before that
+    under it, and its record is pulled back into memory before that
     directory is removed.
     """
     directory = _spec_checkpoint_dir(spec, checkpoint_root)
+    snapshot = None
     if resume and directory is not None:
         snapshot = latest_checkpoint(directory)
-        if snapshot is not None:
-            return summarize_result(simulate(RunSpec(resume_from=snapshot)))
     spill_dir = None
-    if spec.spill_dir is not None:
+    if snapshot is None and spec.spill_dir is not None:
         os.makedirs(spec.spill_dir, exist_ok=True)
         spill_dir = tempfile.mkdtemp(prefix="repro-spill-", dir=spec.spill_dir)
     try:
-        result = simulate(
-            replace(spec, checkpoint_dir=directory, spill_dir=spill_dir)
-        )
+        if snapshot is not None:
+            result = simulate(RunSpec(resume_from=snapshot))
+        else:
+            result = simulate(
+                replace(spec, checkpoint_dir=directory, spill_dir=spill_dir)
+            )
         if spill_dir is not None:
             # The spill directory dies with this call, so pull every
             # table back into memory before the chunk files disappear.
@@ -193,7 +135,10 @@ def _execute_spec(
             import shutil
 
             shutil.rmtree(spill_dir, ignore_errors=True)
-    return summarize_result(result)
+    record = result.record()
+    # Read here, so the parent and every later cache hit reuse it.
+    record.digest
+    return record
 
 
 class RunCache:
@@ -211,11 +156,11 @@ class RunCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.pkl"
 
-    def load(self, key: str) -> Optional[RunSummary]:
+    def load(self, key: str) -> Optional[RunRecord]:
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
-                summary = pickle.load(handle)
+                record = pickle.load(handle)
         except FileNotFoundError:
             return None  # plain miss: nothing was ever cached here
         except Exception as exc:
@@ -232,17 +177,17 @@ class RunCache:
                 stacklevel=2,
             )
             return None
-        if not isinstance(summary, RunSummary):
+        if not isinstance(record, RunRecord):
             warnings.warn(
-                f"run-cache entry {path} holds {type(summary).__name__}, "
-                "not a RunSummary; recomputing",
+                f"run-cache entry {path} holds {type(record).__name__}, "
+                "not a RunRecord; recomputing",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return None
-        return summary
+        return record
 
-    def save(self, key: str, summary: RunSummary) -> None:
+    def save(self, key: str, record: RunRecord) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         # Write-then-rename so concurrent workers/readers never observe a
         # partial pickle.
@@ -251,7 +196,7 @@ class RunCache:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(summary, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_name, self.path_for(key))
         except BaseException:
             try:
@@ -295,8 +240,10 @@ class ParallelRunner:
         #: Specs that failed even after their retry, lifetime total.
         self.failures = 0
 
-    def run(self, specs: Sequence[RunSpec]) -> list[RunSummary]:
-        """Execute every spec, returning summaries in spec order.
+    def run(
+        self, specs: Sequence[RunSpec]
+    ) -> list[Union[RunRecord, RunFailure]]:
+        """Execute every spec, returning records in spec order.
 
         Completion order never matters: parallel results are matched back
         to their originating index, so ``run(specs)[i]`` always belongs to
@@ -305,13 +252,13 @@ class ParallelRunner:
         A spec whose worker raises is retried once, serially, in the
         calling process — checkpointing specs resume from their newest
         snapshot rather than restarting at day 0. If the retry also
-        raises, its slot holds a failed :class:`RunSummary` (empty store,
-        ``error`` carrying the traceback); the survivors are merged
-        exactly as if the failed spec had never been requested, and
-        failed summaries are never written to the cache.
+        raises, its slot holds a :class:`RunFailure` carrying the
+        traceback; the survivors are merged exactly as if the failed spec
+        had never been requested, and failures are never written to the
+        cache.
         """
         specs = list(specs)
-        results: list[Optional[RunSummary]] = [None] * len(specs)
+        results: list = [None] * len(specs)
 
         pending: list[tuple[int, RunSpec]] = []
         for index, spec in enumerate(specs):
@@ -325,7 +272,7 @@ class ParallelRunner:
                 pending.append((index, spec))
 
         failed: list[tuple[int, RunSpec]] = []
-        completed: list[tuple[int, RunSummary]] = []
+        completed: list[tuple[int, RunRecord]] = []
         if pending:
             if self.jobs == 1 or len(pending) == 1:
                 for index, spec in pending:
@@ -366,24 +313,13 @@ class ParallelRunner:
                 )
             except Exception:
                 self.failures += 1
-                results[index] = RunSummary(
-                    store=LogStore(),
-                    info=DeploymentInfo(
-                        n_companies=0,
-                        n_open_relays=0,
-                        users_per_company={},
-                        horizon_days=0.0,
-                        min_cluster_size=1,
-                    ),
-                    seed=spec.seed,
-                    error=traceback.format_exc(),
-                )
+                results[index] = RunFailure(spec.seed, traceback.format_exc())
 
-        for index, summary in completed:
-            results[index] = summary
+        for index, record in completed:
+            results[index] = record
             self.runs_executed += 1
             if self.cache:
-                self.cache.save(specs[index].cache_key(), summary)
+                self.cache.save(specs[index].cache_key(), record)
 
         return results  # type: ignore[return-value]  # every slot is filled
 
@@ -394,7 +330,7 @@ def run_specs(
     use_cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
     checkpoint_root: Union[str, Path, None] = None,
-) -> list[RunSummary]:
+) -> list[Union[RunRecord, RunFailure]]:
     """One-shot convenience wrapper around :class:`ParallelRunner`."""
     cache = RunCache(cache_dir) if use_cache else None
     return ParallelRunner(

@@ -1,8 +1,9 @@
 """Experiment registry: maps every paper table/figure id to its analysis.
 
 The ids follow DESIGN.md's per-experiment index. Each renderer takes a
-:class:`~repro.experiments.runner.SimulationResult` and returns the
-rendered paper-vs-measured report for that artifact.
+:class:`~repro.experiments.runner.RunRecord` — simulated, cached or
+loaded — and returns the rendered paper-vs-measured report for that
+artifact.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from repro.analysis import (
     variability,
     verdicts,
 )
-from repro.experiments.runner import SimulationResult
+from repro.experiments.runner import RunRecord
 
-#: experiment id -> function(SimulationResult) -> str (rendered report)
-EXPERIMENTS: Dict[str, Callable[[SimulationResult], str]] = {
+#: experiment id -> function(RunRecord) -> str (rendered report)
+EXPERIMENTS: Dict[str, Callable[[RunRecord], str]] = {
     "fig1": lambda r: flow.render(r.store),
     "tab_drop": lambda r: mta_breakdown.render(r.store),
     "fig2": lambda r: mta_breakdown.render(r.store),
@@ -58,8 +59,8 @@ EXPERIMENTS: Dict[str, Callable[[SimulationResult], str]] = {
     "sec51": lambda r: blacklisting.render(r.store, r.info),
     "fig12": lambda r: spf_study.render(r.store),
     "sec6": lambda r: discussion.render(r.store, r.info),
-    # Takes the full result (not just the store): the fault-injection
-    # counters live on SimulationResult.fault_stats, outside the log store.
+    # Takes the full record (not just the store): the fault-injection
+    # counters live on RunRecord.fault_stats, outside the log store.
     "faults": lambda r: faults.render_result(r),
     # Same shape: the lifecycle verdict lives on result.ledger_stats.
     "audit": lambda r: ledger.render_result(r),
@@ -76,7 +77,7 @@ EXPERIMENTS: Dict[str, Callable[[SimulationResult], str]] = {
 }
 
 
-def run_experiment(exp_id: str, result: SimulationResult) -> str:
+def run_experiment(exp_id: str, result: RunRecord) -> str:
     """Render one experiment's paper-vs-measured report."""
     try:
         renderer = EXPERIMENTS[exp_id]
@@ -111,7 +112,7 @@ CANONICAL_ORDER = (
 )
 
 
-def run_all(result: SimulationResult) -> str:
+def run_all(result: RunRecord) -> str:
     """Render every distinct experiment report once, in paper order."""
     parts = []
     for exp_id in CANONICAL_ORDER:

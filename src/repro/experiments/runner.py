@@ -18,14 +18,16 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from repro._version import __version__
 from repro.analysis.context import DeploymentInfo
+from repro.analysis.persistence import store_digest
 from repro.analysis.store import SPILL_CHUNK_ROWS, LogStore, SpillConfig
 from repro.blacklistd.monitor import BlacklistMonitor
-from repro.core.config import FilterChainSpec
+from repro.core.config import CompanyConfig, FilterChainSpec
 from repro.core.engine import CompanyInstallation
 from repro.core.ledger import LedgerError, LedgerSnapshot
 from repro.core.message import reset_msg_ids
@@ -325,45 +327,82 @@ def _unique_mtas(installations: dict[str, CompanyInstallation]) -> list:
 
 
 @dataclass
-class SimulationResult:
-    """Everything one run produced."""
+class RunRecord:
+    """One run's measurement database and everything read beside it.
+
+    The simulator returns it (as :class:`SimulationResult`), the run
+    cache pickles it, and :func:`~repro.analysis.persistence.load_run`
+    reads it back from a file; every analysis, ``repro check`` and the
+    CLI take it. A loaded record has empty ``metrics`` (files carry the
+    store and the info only), and each counter view is then ``None``.
+    """
 
     store: LogStore
-    world: World
-    simulator: Simulator
-    installations: dict[str, CompanyInstallation]
-    monitor: BlacklistMonitor
     info: DeploymentInfo
-    seed: int
-    wall_seconds: float
-    #: Every counter of the run under its dotted name, from
-    #: :func:`collect_metrics`.
-    metrics: dict
-    #: Each company's end-of-run ledger snapshot, in company-id order.
-    ledger_snapshots: tuple = ()
-    #: The snapshot this run resumed from, ``None`` for a fresh run.
-    restored_from: Optional[str] = None
+    #: Static per-company configuration (company_id -> config), for
+    #: config-level analyses such as the dual-MTA ablation.
+    company_configs: dict[str, CompanyConfig] = field(default_factory=dict)
+    #: ``None`` when the file a record was loaded from did not say.
+    seed: Optional[int] = None
     #: The resolved :class:`repro.scenarios.ScenarioSpec` this run
     #: executed, ``None`` for scenario-free runs. The ``verdicts``
     #: experiment evaluates its checks against the store.
     scenario: object = None
+    #: Every counter of the run under its dotted name, from
+    #: :func:`collect_metrics`; empty for a loaded record.
+    metrics: dict = field(default_factory=dict)
+    #: Each company's end-of-run ledger snapshot, in company-id order.
+    ledger_snapshots: tuple = ()
+    #: The snapshot this run resumed from, ``None`` for a fresh run.
+    restored_from: Optional[str] = None
+    #: ``None`` for a loaded record.
+    wall_seconds: Optional[float] = None
+
+    @cached_property
+    def digest(self) -> str:
+        """:func:`~repro.analysis.persistence.store_digest` of the store,
+        computed on first read and then pickled with the record."""
+        return store_digest(self.store)
 
     @property
-    def events_processed(self) -> int:
+    def events_processed(self) -> Optional[int]:
         """Engine event count."""
-        return self.metrics["sim.events"]
+        return self.metrics["sim.events"] if self.metrics else None
 
     @property
-    def cache_stats(self) -> SubstrateCacheStats:
-        return SubstrateCacheStats(self.metrics)
+    def cache_stats(self) -> Optional[SubstrateCacheStats]:
+        return SubstrateCacheStats(self.metrics) if self.metrics else None
 
     @property
-    def fault_stats(self) -> FaultStats:
-        return FaultStats(self.metrics)
+    def fault_stats(self) -> Optional[FaultStats]:
+        return FaultStats(self.metrics) if self.metrics else None
 
     @property
-    def ledger_stats(self) -> LedgerStats:
+    def ledger_stats(self) -> Optional[LedgerStats]:
+        if not self.metrics:
+            return None
         return LedgerStats(self.metrics, self.ledger_snapshots)
+
+
+@dataclass
+class SimulationResult(RunRecord):
+    """A finished run's record plus the live objects that produced it,
+    which never leave the process: :meth:`record` is what crosses."""
+
+    # Defaulted only because they follow the record's defaulted fields;
+    # :func:`simulate` always sets them.
+    world: World = None
+    simulator: Simulator = None
+    installations: dict[str, CompanyInstallation] = None
+    monitor: BlacklistMonitor = None
+
+    def record(self) -> RunRecord:
+        """The plain, picklable record, with the store's analysis index
+        dropped so the pickle carries records only."""
+        self.store.drop_indices()
+        return RunRecord(
+            **{f.name: getattr(self, f.name) for f in fields(RunRecord)}
+        )
 
 
 #: :class:`RunSpec` fields that never change what a run measures: its
@@ -705,19 +744,23 @@ def _finish_run(
     collector.close()  # the exit collection counts in wall_seconds
     return SimulationResult(
         store=state.store,
-        world=world,
-        simulator=simulator,
-        installations=installations,
-        monitor=state.monitor,
         info=info,
+        company_configs={
+            company_id: installation.config
+            for company_id, installation in installations.items()
+        },
         seed=state.seed,
+        scenario=state.scenario,
         wall_seconds=time.perf_counter() - started,
         metrics=collect_metrics(
             state=state, ledger=ledger, restore_seconds=restore_seconds
         ),
         ledger_snapshots=ledger,
         restored_from=restored_from,
-        scenario=state.scenario,
+        world=world,
+        simulator=simulator,
+        installations=installations,
+        monitor=state.monitor,
     )
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis import ledger
-from repro.analysis.store import LogStore
+from repro.experiments.runner import RunRecord
 
 
 class TestStoreFlows:
@@ -55,14 +53,12 @@ class TestRender:
         assert "Per-company message flow" in out
         assert "conservation: CONSERVED" not in out
 
-    def test_render_result_tolerates_loaded_runs(self, tiny_store):
-        # Loaded/summarised runs carry a store but no ledger_stats
-        # attribute at all; render_result must not AttributeError.
-        @dataclass
-        class LoadedRun:
-            store: LogStore
-
-        out = ledger.render_result(LoadedRun(store=tiny_store))
+    def test_render_result_tolerates_loaded_runs(self, tiny_result):
+        # A loaded record carries a store but empty metrics, so no
+        # ledger_stats: render_result falls back to the store-only mode.
+        loaded = RunRecord(store=tiny_result.store, info=tiny_result.info)
+        assert loaded.ledger_stats is None
+        out = ledger.render_result(loaded)
         assert "runtime ledger verdict unavailable" in out
 
     def test_render_result_full(self, tiny_result):

@@ -1,17 +1,19 @@
 """Tests for saving/loading the measurement database (JSONL)."""
 
 import json
+import pickle
 
 import hypothesis as _hyp
 import pytest
 from hypothesis import strategies as _st
 
 from repro.analysis.persistence import (
-    LoadedRun,
     PersistenceError,
     load_run,
     save_run,
 )
+from repro.experiments.registry import CANONICAL_ORDER, run_experiment
+from repro.experiments.runner import RunRecord
 
 
 #: sha256 of ``save_run`` on the tiny/seed-7 run. The store digest
@@ -22,6 +24,29 @@ TINY_SEED7_FILE_SHA256 = (
 )
 
 
+#: Reports that also read the run's counters, which files do not carry.
+RUN_COUNTER_REPORTS = frozenset({"faults", "audit", "recovery"})
+
+
+@pytest.fixture(scope="module")
+def loaded_tiny(tiny_result, tmp_path_factory):
+    path = tmp_path_factory.mktemp("loaded") / "run.jsonl"
+    save_run(tiny_result.store, tiny_result.info, path)
+    return load_run(path)
+
+
+@pytest.fixture(scope="module")
+def weathered_run():
+    """tiny/7 under stormy weather and flaky crashes: a pickle round trip
+    of its record, and each report rendered from the live result."""
+    from repro.experiments import run_simulation
+
+    result = run_simulation("tiny", seed=7, faults="stormy", crashes="flaky")
+    live = {exp_id: run_experiment(exp_id, result)
+            for exp_id in CANONICAL_ORDER}
+    return pickle.loads(pickle.dumps(result.record())), live
+
+
 class TestRoundTrip:
     def test_full_round_trip_preserves_every_record(self, tiny_result, tmp_path):
         from repro.analysis.store import TABLES
@@ -29,7 +54,8 @@ class TestRoundTrip:
         path = tmp_path / "run.jsonl"
         written = save_run(tiny_result.store, tiny_result.info, path)
         loaded = load_run(path)
-        assert isinstance(loaded, LoadedRun)
+        assert type(loaded) is RunRecord
+        assert loaded.metrics == {} and loaded.wall_seconds is None
         assert written == sum(tiny_result.store.summary_counts().values())
         for table in TABLES:
             assert list(getattr(loaded.store, table)) == list(
@@ -79,15 +105,22 @@ class TestRoundTrip:
             tiny_result.store
         )
 
-    def test_registry_runs_on_loaded_run(self, tiny_result, tmp_path):
-        from repro.experiments.registry import run_experiment
+    @pytest.mark.parametrize("exp_id", CANONICAL_ORDER)
+    def test_registry_runs_on_loaded_run(
+        self, tiny_result, loaded_tiny, exp_id
+    ):
+        """Every report renders from a file; those that read only the
+        store equal the live run's."""
+        rendered = run_experiment(exp_id, loaded_tiny)
+        if exp_id not in RUN_COUNTER_REPORTS:
+            assert rendered == run_experiment(exp_id, tiny_result)
 
-        path = tmp_path / "run.jsonl"
-        save_run(tiny_result.store, tiny_result.info, path)
-        loaded = load_run(path)
-        assert run_experiment("fig4a", loaded) == run_experiment(
-            "fig4a", tiny_result
-        )
+    @pytest.mark.parametrize("exp_id", CANONICAL_ORDER)
+    def test_registry_runs_on_pickled_record(self, weathered_run, exp_id):
+        """A pickled record renders every report byte-identical to the
+        live run, the run counters' reports included."""
+        clone, live = weathered_run
+        assert run_experiment(exp_id, clone) == live[exp_id]
 
 
 class TestErrorHandling:

@@ -73,10 +73,10 @@ class TestLogStore:
         assert store.company_ids() == ["c2", "c0"]
 
 
-class TestRunSummaryPickling:
-    def _summary(self):
+class TestRunRecordPickling:
+    def _record(self):
         from repro.analysis.context import DeploymentInfo
-        from repro.experiments.parallel import RunSummary, store_digest
+        from repro.experiments.runner import RunRecord
 
         store = LogStore()
         rf.mta(store)
@@ -91,26 +91,20 @@ class TestRunSummaryPickling:
             horizon_days=10.0,
             min_cluster_size=2,
         )
-        return RunSummary(
-            store=store,
-            info=info,
-            seed=7,
-            wall_seconds=0.1,
-            digest=store_digest(store),
-        )
+        return RunRecord(store=store, info=info, seed=7, wall_seconds=0.1)
 
     def test_round_trips_through_pickle_unchanged(self):
         import pickle
 
         from repro.experiments.parallel import store_digest
 
-        summary = self._summary()
-        clone = pickle.loads(pickle.dumps(summary))
-        assert clone.digest == summary.digest
-        assert store_digest(clone.store) == summary.digest
-        assert clone.store.summary_counts() == summary.store.summary_counts()
-        assert clone.info == summary.info
-        assert clone.seed == summary.seed
+        record = self._record()
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone.digest == record.digest
+        assert store_digest(clone.store) == record.digest
+        assert clone.store.summary_counts() == record.store.summary_counts()
+        assert clone.info == record.info
+        assert clone.seed == record.seed
         # Correlation indices still work on the clone.
         assert clone.store.outcome_of("c0", 1) is not None
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -78,7 +80,12 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "correlation stability" in out
         assert "1 simulated, 0 from cache" in out
-        # Second invocation answers from the cache: zero simulations.
+        # Second invocation answers from the cache: zero simulations,
+        # and the cached record prints the run's metrics map too.
         assert main(["sweep", "--preset", "tiny", "--seed", "3",
                      "--runs", "1", "--jobs", "1"]) == 0
-        assert "0 simulated, 1 from cache" in capsys.readouterr().out
+        warm = capsys.readouterr().out
+        assert "0 simulated, 1 from cache" in warm
+        metric_lines = re.compile(r"^  [a-z_]+\.\S+  .*$", re.MULTILINE)
+        assert "  ledger.accepted  " in warm
+        assert metric_lines.findall(warm) == metric_lines.findall(out)

@@ -20,7 +20,7 @@ from repro.experiments.parallel import (
     run_specs,
     store_digest,
 )
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import RunRecord, run_simulation
 from repro.net.crashes import (
     CRASH_PRESETS,
     COMPONENTS,
@@ -120,9 +120,9 @@ class TestFaultComposition:
             for seed in SEEDS
         ]
         # First pass computes (audited: any lifecycle violation raises
-        # inside the worker and would surface as a failed summary).
+        # inside the worker and would surface as a RunFailure).
         uncached = run_specs(specs, jobs=1, cache_dir=tmp_path / "runs")
-        assert not any(s.failed for s in uncached)
+        assert all(isinstance(s, RunRecord) for s in uncached)
         # Second pass must be answered from the cache, byte-identically.
         cached = run_specs(specs, jobs=1, cache_dir=tmp_path / "runs")
         assert [s.digest for s in cached] == [s.digest for s in uncached]

@@ -13,7 +13,8 @@ from repro.analysis.frontier import (
 )
 from repro.analysis.store import LogStore
 from repro.core.spools import Category
-from repro.experiments.parallel import RunSummary
+from repro.experiments.parallel import RunFailure
+from repro.experiments.runner import RunRecord
 from repro.experiments.runner import DeploymentInfo
 from repro.core.message import MessageKind
 
@@ -116,16 +117,13 @@ class _StubRunner:
         for spec in specs:
             self.specs_seen.append(spec)
             if spec.label in self.fail_labels:
-                summaries.append(
-                    RunSummary(store=LogStore(), info=_info(),
-                               seed=spec.seed, error="boom")
-                )
+                summaries.append(RunFailure(spec.seed, "boom"))
                 continue
             # cr-only loses 1 legit per run; every other chain loses 2 —
             # keeps the clean-row FP ordering check satisfiable.
             lost = 1 if spec.chain == "cr-only" else 2
             summaries.append(
-                RunSummary(
+                RunRecord(
                     store=_store(
                         spam_delivered=spec.seed,  # varies per seed
                         spam_stopped=10,

@@ -15,11 +15,11 @@ from repro.experiments import parallel
 from repro.experiments.parallel import (
     ParallelRunner,
     RunCache,
+    RunFailure,
     RunSpec,
-    RunSummary,
     run_specs,
 )
-from repro.experiments.runner import NON_KEY_FIELDS
+from repro.experiments.runner import NON_KEY_FIELDS, RunRecord
 from repro.util.simtime import DAY
 from repro.workload.calibration import DEFAULT_CALIBRATION
 
@@ -58,6 +58,10 @@ class TestDeterminism:
             summary.info.users_per_company
         )
         assert summary.wall_seconds > 0
+        # The counters outside the store travel with it.
+        assert summary.metrics["ledger.accepted"] > 0
+        assert summary.ledger_stats.conserved
+        assert len(summary.ledger_snapshots) == summary.info.n_companies
 
 
 class TestSerialBypass:
@@ -104,6 +108,9 @@ class TestCache:
         assert [s.digest for s in summaries] == [
             s.digest for s in serial_summaries
         ]
+        assert [s.metrics for s in summaries] == [
+            s.metrics for s in serial_summaries
+        ]
 
     def test_runner_populates_cache_on_miss(self, tmp_path):
         cache = RunCache(tmp_path / "runs")
@@ -122,7 +129,7 @@ class TestCache:
             b"not a pickle",
             b"garbage\n",  # 'g' is a GET opcode: raises ValueError, not
             b"",           # UnpicklingError — load() must eat both
-            pickle.dumps({"not": "a RunSummary"}),
+            pickle.dumps({"not": "a run record"}),
         ],
     )
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path, junk):
@@ -149,7 +156,7 @@ class TestCache:
         runner = ParallelRunner(jobs=1, cache=cache)
         with pytest.warns(RuntimeWarning, match="corrupt run-cache entry"):
             summaries = runner.run([spec])
-        assert not summaries[0].failed
+        assert isinstance(summaries[0], RunRecord)
         assert (runner.cache_hits, runner.runs_executed) == (0, 1)
         # The recomputed summary replaced the garbage entry.
         fresh = ParallelRunner(jobs=1, cache=cache)
@@ -171,12 +178,11 @@ class TestFailureCapture:
     def test_failed_spec_becomes_failure_summary(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache=None, checkpoint_root=tmp_path)
         good, bad = runner.run([RunSpec("tiny", seed=3), BAD_SPEC])
-        assert not good.failed and good.digest
-        assert bad.failed
+        assert isinstance(good, RunRecord) and good.digest
+        assert isinstance(bad, RunFailure)
         assert "no-such-preset" in bad.error
         assert "Traceback" in bad.error
         assert bad.seed == BAD_SPEC.seed
-        assert len(bad.store.mta) == 0
         assert runner.failures == 1
         # Survivors merged deterministically: the good spec's digest is
         # exactly what a clean batch produces.
@@ -186,8 +192,8 @@ class TestFailureCapture:
     def test_failed_spec_in_pool_is_captured(self, tmp_path):
         runner = ParallelRunner(jobs=2, cache=None, checkpoint_root=tmp_path)
         good, bad = runner.run([RunSpec("tiny", seed=3), BAD_SPEC])
-        assert not good.failed
-        assert bad.failed and "no-such-preset" in bad.error
+        assert isinstance(good, RunRecord)
+        assert isinstance(bad, RunFailure) and "no-such-preset" in bad.error
 
     def test_failed_summary_is_never_cached(self, tmp_path):
         cache = RunCache(tmp_path / "runs")
@@ -195,7 +201,7 @@ class TestFailureCapture:
             jobs=1, cache=cache, checkpoint_root=tmp_path / "ckpt"
         )
         (bad,) = runner.run([BAD_SPEC])
-        assert bad.failed
+        assert isinstance(bad, RunFailure)
         assert not cache.path_for(BAD_SPEC.cache_key()).exists()
 
 
@@ -281,9 +287,13 @@ class TestSpecKeys:
 class TestSummaryPickling:
     def test_summary_round_trips_through_pickle(self, serial_summaries):
         summary = serial_summaries[0]
+        # The worker read the digest, so it travels in the pickle.
+        assert "digest" in vars(summary)
         clone = pickle.loads(pickle.dumps(summary))
-        assert isinstance(clone, RunSummary)
+        assert type(clone) is RunRecord
+        assert "digest" in vars(clone)
         assert clone.digest == summary.digest
+        assert clone.metrics == summary.metrics
         assert clone.store.summary_counts() == summary.store.summary_counts()
         assert parallel.store_digest(clone.store) == summary.digest
         assert clone.info == summary.info

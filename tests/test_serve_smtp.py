@@ -9,7 +9,14 @@ the WAL-then-reply ordering visible as "every 250 is in the ledger".
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
+import re
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addresses import MAX_LOCAL_LENGTH
 from tests.serve_harness import SmtpClient, ehlo_client, live_stack, pick_targets
@@ -388,3 +395,121 @@ def test_tasks_per_connection_do_not_grow_with_messages(tmp_path):
             assert service.metrics()["smtp.acked"] == 21
 
     asyncio.run(scenario())
+
+
+# -- the socket boundary, property-tested -----------------------------------
+
+#: Whole commands, ``{sender}``/``{rcpt}`` filled in with routable
+#: addresses; the first opens a transaction up to its body.
+_COMMANDS = (
+    b"EHLO fuzz\r\nMAIL FROM:<{sender}>\r\nRCPT TO:<{rcpt}>\r\nDATA\r\n",
+    b"EHLO fuzz\r\n", b"HELO fuzz\r\n", b"MAIL FROM:<{sender}>\r\n",
+    b"MAIL FROM:<>\r\n", b"RCPT TO:<{rcpt}>\r\n", b"DATA\r\n", b"RSET\r\n",
+    b"NOOP\r\n", b"QUIT\r\n", b"Subject: fuzz\r\n", b"\r\n.\r\n",
+)
+
+_CHUNKS = st.one_of(
+    st.binary(max_size=48),
+    st.sampled_from(
+        [b"\n", b"\r", b"\r\n", b"\x00", b".", b"..\r\n", b".\r\n", b"\xff"]
+    ),
+    st.sampled_from(_COMMANDS),
+    # A command or DATA line cut mid-line.
+    st.sampled_from(_COMMANDS).flatmap(
+        lambda command: st.integers(1, len(command) - 1).map(
+            lambda cut: command[:cut]
+        )
+    ),
+    # Lines over the command limit and over the stream limit.
+    st.builds(
+        lambda byte, length: byte * length,
+        st.sampled_from([b"A", b"\x00", b"."]),
+        st.integers(1000, 6000),
+    ),
+)
+
+#: Deadlines short enough that a session the stream leaves waiting ends
+#: inside the test's own timeout.
+_SESSION_DEADLINE = 3.0
+
+_REPLY_LINE = re.compile(rb"\d{3}[ -]")
+
+
+@pytest.fixture(scope="module")
+def threaded_stack(tmp_path_factory):
+    """One live stack for every example, on an event loop in its own
+    thread. Yields ``(loop, service, smtp)``; on teardown the stack's
+    exit check (no handler raised) runs."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    ready: concurrent.futures.Future = concurrent.futures.Future()
+
+    async def hold():
+        stop = asyncio.Event()
+        directory = tmp_path_factory.mktemp("fuzz")
+        async with live_stack(directory, preset="tiny") as (service, smtp, _):
+            smtp.command_deadline = smtp.data_deadline = 1.0
+            smtp.session_deadline = _SESSION_DEADLINE
+            ready.set_result((service, smtp, stop))
+            await stop.wait()
+
+    held = asyncio.run_coroutine_threadsafe(hold(), loop)
+    try:
+        concurrent.futures.wait(
+            [ready, held], timeout=60.0,
+            return_when=concurrent.futures.FIRST_COMPLETED,
+        )
+        if held.done():
+            held.result()  # the stack failed to boot: raise why
+        service, smtp, stop = ready.result(timeout=0)
+        yield loop, service, smtp
+        loop.call_soon_threadsafe(stop.set)
+        held.result(timeout=30.0)
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10.0)
+        loop.close()
+
+
+async def _exchange(service, port: int, stream: bytes):
+    """Send *stream* on a fresh connection, half-close it, and read until
+    the server closes. Returns ``(received, sessions_open)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    received = b""
+    try:
+        with contextlib.suppress(ConnectionError):
+            writer.write(stream)
+            await writer.drain()
+            writer.write_eof()
+        with contextlib.suppress(ConnectionError):
+            while chunk := await reader.read(65536):
+                received += chunk
+    finally:
+        writer.close()
+    return received, service.metrics()["smtp.sessions_open"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks=st.lists(_CHUNKS, max_size=10))
+def test_arbitrary_byte_streams_end_in_a_reply_or_a_close(
+    threaded_stack, chunks
+):
+    """Whatever bytes arrive, the session answers only in reply lines and
+    the server closes it within the session deadline; no handler raises
+    (checked when the stack shuts down) and no session stays open."""
+    loop, service, smtp = threaded_stack
+    sender, users = pick_targets(service)
+    stream = (
+        b"".join(chunks)
+        .replace(b"{sender}", sender.encode())
+        .replace(b"{rcpt}", users[0].encode())
+    )
+    received, sessions_open = asyncio.run_coroutine_threadsafe(
+        _exchange(service, smtp.port, stream), loop
+    ).result(timeout=_SESSION_DEADLINE + 5.0)
+    lines = received.split(b"\r\n")
+    assert lines[-1] == b"", received  # every reply is a whole line
+    assert lines[0].startswith(b"220 ")
+    assert all(_REPLY_LINE.match(line) for line in lines[:-1]), received
+    assert sessions_open == 0
