@@ -13,7 +13,7 @@ company order). Every later analysis reads the same aggregates for free.
 
 Aggregation is by table, not by figure: each per-table aggregate is cached
 against ``(table version, table length)``, where the version is bumped by
-the store's append helpers and the length guards direct list appends (the
+the store's append helpers and the length guards direct table appends (the
 persistence loader bypasses the helpers). Appending to one table therefore
 invalidates exactly that table's aggregates and nothing else — a re-read
 after an append rebuilds only the pass that went stale.
@@ -34,8 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import attrgetter, floordiv, le
+from itertools import compress, islice, repeat
+from operator import and_, floordiv, is_, le
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.challenge import WebAction
@@ -254,21 +254,7 @@ class ProbeAggregates:
 # ---------------------------------------------------------------------------
 
 
-def iter_chunks(records):
-    """Yield *records* as successive lists (one chunk at a time).
-
-    Spilled and merged tables expose ``chunks()``; a plain in-memory list
-    is its own single chunk. The multi-sweep builders below fold over
-    this, so aggregating a spilled table never needs the whole table
-    resident — memory stays bounded by one chunk.
-    """
-    chunks = getattr(records, "chunks", None)
-    if chunks is not None:
-        return chunks()
-    return iter((records,))
-
-
-def _day_buckets(ts: list) -> dict:
+def _day_buckets(ts) -> dict:
     """Histogram of int day indices for one table's time column.
 
     Log tables append in simulation order, so the column is almost always
@@ -295,17 +281,18 @@ def _day_buckets(ts: list) -> dict:
 
 def _build_mta(records) -> MtaAggregates:
     # This is the hottest pass of the whole analysis layer (the MTA table
-    # is the largest by an order of magnitude), so it runs columnar: a few
-    # C-speed sweeps (``map(attrgetter(...))`` into ``Counter``/``sum``/
-    # ``dict``) compress the table into a handful of distinct keys, and
-    # the branchy per-company accounting then folds over those few keys
-    # instead of every record. Record order survives because ``Counter``
-    # and ``dict`` keep first-seen insertion order, so every derived dict
-    # is keyed exactly as a naive per-record loop would key it.
+    # is the largest by an order of magnitude), so it reads the table's
+    # columns: a few C-speed sweeps (``Counter``/``sum``/``dict`` over
+    # zipped columns) compress the table into a handful of distinct
+    # keys, and the branchy per-company accounting then folds over those
+    # few keys instead of every record. Record order survives because
+    # ``Counter`` and ``dict`` keep first-seen insertion order, so every
+    # derived dict is keyed exactly as a naive per-record loop would key
+    # it.
     #
-    # The sweeps fold chunk-by-chunk (:func:`iter_chunks`): a spilled
-    # table aggregates with one chunk resident at a time, and a single
-    # in-memory list is just the one-chunk case of the same fold.
+    # The sweeps fold chunk-by-chunk: a spilled table aggregates with one
+    # chunk resident at a time, and an in-memory table is just the
+    # one-chunk case of the same fold.
     total = 0
     total_bytes = 0
     by_day: dict = {}
@@ -313,19 +300,20 @@ def _build_mta(records) -> MtaAggregates:
     # company_id -> relay flag of its latest record so far: dict() keeps
     # the *last* pair per key within a chunk, later chunks override.
     last_flags: dict = {}
-    for chunk in iter_chunks(records):
+    for chunk in records.chunks():
+        column = chunk.column
         total += len(chunk)
-        total_bytes += sum(map(attrgetter("size"), chunk))
-        for day, count in _day_buckets(
-            list(map(attrgetter("t"), chunk))
-        ).items():
+        total_bytes += sum(column("size"))
+        for day, count in _day_buckets(column("t")).items():
             by_day[day] = by_day.get(day, 0) + count
         shapes.update(
-            map(attrgetter("company_id", "open_relay", "drop_reason"), chunk)
+            zip(
+                column("company_id"),
+                column("open_relay"),
+                column("drop_reason"),
+            )
         )
-        last_flags.update(
-            map(attrgetter("company_id", "open_relay"), chunk)
-        )
+        last_flags.update(zip(column("company_id"), column("open_relay")))
 
     dropped = 0
     closed_total = closed_dropped = closed_accepted = 0
@@ -390,14 +378,20 @@ def _build_mta(records) -> MtaAggregates:
     )
 
 
+#: The dispatch fields whose value tuple is a row's "shape".
+_DISPATCH_SHAPE = (
+    "company_id", "open_relay", "challenge_created", "category", "filter_drop",
+)
+
+
 def _build_dispatch(records) -> DispatchAggregates:
-    # Second-hottest pass after :func:`_build_mta`; same columnar scheme.
-    # One C-speed sweep compresses each record to its "shape" — the
+    # Second-hottest pass after :func:`_build_mta`; same column scheme.
+    # One C-speed sweep compresses each row to its "shape" — the
     # (company, relay flag, challenge?, category, filter verdict) tuple —
     # and every count the figures need folds over the few distinct shapes.
     # Only the quarantined-gray subset (Figs. 6/7/12 need the record
-    # objects themselves) still walks records in Python, and that subset
-    # is a small fraction of the table.
+    # objects themselves) is built as records and walked in Python, and
+    # that subset is a small fraction of the table.
     # Like :func:`_build_mta`, the sweeps fold chunk-by-chunk so spilled
     # tables aggregate under bounded memory; the quarantined-gray record
     # subsets append per chunk in record order, unchanged.
@@ -408,36 +402,33 @@ def _build_dispatch(records) -> DispatchAggregates:
     gray_senders: set = set()
     by_subject: dict = {}
     with_challenge: list = []
-    is_gray = Category.GRAY
-    shape_getter = attrgetter(
-        "company_id",
-        "open_relay",
-        "challenge_created",
-        "category",
-        "filter_drop",
-    )
-    for chunk in iter_chunks(records):
+    for chunk in records.chunks():
+        column = chunk.column
         total += len(chunk)
-        total_bytes += sum(map(attrgetter("size"), chunk))
-        shapes.update(map(shape_getter, chunk))
+        total_bytes += sum(column("size"))
+        shapes.update(zip(*map(column, _DISPATCH_SHAPE)))
         kind_days.update(
             zip(
-                map(attrgetter("kind"), chunk),
-                map(floordiv, map(attrgetter("t"), chunk), repeat(DAY)),
+                column("kind"),
+                map(floordiv, column("t"), repeat(DAY)),
             )
         )
-        for record in chunk:
-            if record.category is is_gray and record.filter_drop is None:
-                gray_senders.add(
-                    (record.company_id, record.user, record.env_from)
-                )
-                subject_rows = by_subject.get(record.subject)
-                if subject_rows is None:
-                    by_subject[record.subject] = [record]
-                else:
-                    subject_rows.append(record)
-                if record.challenge_id is not None:
-                    with_challenge.append(record)
+        quarantined = map(
+            and_,
+            map(is_, column("category"), repeat(Category.GRAY)),
+            map(is_, column("filter_drop"), repeat(None)),
+        )
+        for record in chunk.take(compress(range(len(chunk)), quarantined)):
+            gray_senders.add(
+                (record.company_id, record.user, record.env_from)
+            )
+            subject_rows = by_subject.get(record.subject)
+            if subject_rows is None:
+                by_subject[record.subject] = [record]
+            else:
+                subject_rows.append(record)
+            if record.challenge_id is not None:
+                with_challenge.append(record)
 
     white = black = gray = 0
     filter_drops: Counter = Counter()

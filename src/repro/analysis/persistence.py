@@ -18,12 +18,10 @@ record's short keys from :data:`_KEYS`, one per dataclass field.
 from __future__ import annotations
 
 import collections.abc
-import enum
 import hashlib
 import json
 import typing
 from dataclasses import asdict, fields
-from operator import attrgetter
 from typing import Optional
 
 from repro.analysis.context import DeploymentInfo
@@ -40,7 +38,7 @@ from repro.analysis.records import (
     WebAccessRecord,
     WhitelistChangeRecord,
 )
-from repro.analysis.store import SCHEMA, LogStore
+from repro.analysis.store import SCHEMA, LogStore, enum_field
 from repro.blacklistd.monitor import ProbeObservation
 
 SCHEMA_VERSION = 1
@@ -108,16 +106,6 @@ def _type_error(name: str, hint, value) -> Optional[str]:
     return f"{name}: expected {expected}, got {json.dumps(value)[:40]}"
 
 
-def _enum_field(hint) -> Optional[tuple]:
-    """``(enum class, optional)`` for an enum-typed annotation, else None."""
-    optional = typing.get_origin(hint) is typing.Union
-    if optional:
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return hint, optional
-    return None
-
-
 class _Codec:
     """One table's JSONL codec, derived from its record class's fields.
 
@@ -134,14 +122,12 @@ class _Codec:
                             f"{len(self.keys)} JSON keys")
         self.table = table
         self.tag = tag
-        self.cls = cls
-        self._values = attrgetter(*names)
         hints = typing.get_type_hints(cls)
         #: ``(short key, enum class, optional)`` per enum-typed field.
         self._enums = tuple(
             (key, *spec)
             for key, name in zip(self.keys, names)
-            if (spec := _enum_field(hints[name])) is not None
+            if (spec := enum_field(hints[name])) is not None
         )
         enum_keys = {key for key, _cls, _optional in self._enums}
         #: ``(short key, accepted types, annotation)`` per other field.
@@ -151,8 +137,9 @@ class _Codec:
             if key not in enum_keys
         )
 
-    def encode(self, record) -> dict:
-        payload = dict(zip(self.keys, self._values(record)))
+    def encode(self, values: tuple) -> dict:
+        """The JSON payload of one row, given as its field values."""
+        payload = dict(zip(self.keys, values))
         for key, _cls, _optional in self._enums:
             member = payload[key]
             if member is not None:
@@ -162,7 +149,8 @@ class _Codec:
                 payload[key] = member._value_
         return payload
 
-    def decode(self, payload: dict):
+    def decode(self, payload: dict) -> tuple:
+        """One row's field values, in field order, from its payload."""
         values = {key: payload[key] for key in self.keys}
         for key, types, hint in self._plain:
             if type(values[key]) not in types:
@@ -170,7 +158,7 @@ class _Codec:
         for key, enum_cls, optional in self._enums:
             if values[key] is not None or not optional:
                 values[key] = enum_cls(values[key])
-        return self.cls(*values.values())
+        return tuple(values.values())
 
 
 #: One codec per table, in schema (= digest) order.
@@ -187,8 +175,8 @@ def encoded_records(store: LogStore):
     """
     for codec in _TABLE_CODECS:
         encode = codec.encode
-        for record in getattr(store, codec.table):
-            yield codec.tag, encode(record)
+        for values in getattr(store, codec.table).values():
+            yield codec.tag, encode(values)
 
 
 #: ``json.dumps(..., sort_keys=True)`` builds a new encoder on every
@@ -267,7 +255,9 @@ def load_run(path):
             if codec is None:
                 raise PersistenceError(f"{where}: unknown record type {tag!r}")
             try:
-                getattr(store, codec.table).append(codec.decode(payload))
+                getattr(store, codec.table).append_values(
+                    codec.decode(payload)
+                )
             except (KeyError, ValueError) as exc:
                 raise PersistenceError(
                     f"{where}: bad {tag} record: {exc}"

@@ -22,9 +22,7 @@ from repro.analysis.records import (
     ChallengeOutcomeRecord,
     ChallengeRecord,
     DigestRecord,
-    DispatchRecord,
     ExpiryRecord,
-    MtaRecord,
     OutboundMailRecord,
     ReleaseRecord,
     WebAccessRecord,
@@ -243,7 +241,7 @@ class CompanyInstallation:
         # (which documents the contract): everything downstream (dispatcher,
         # spools, whitelists, challenge dedup) sees canonical lowercase
         # envelope addresses. This is the hottest per-message call site in
-        # the simulation, hence the records built positionally from locals.
+        # the simulation, hence the rows appended positionally from locals.
         env_from = message.env_from
         if env_from and not env_from.islower():
             env_from = message.env_from = env_from.lower()
@@ -272,26 +270,26 @@ class CompanyInstallation:
         )
         local, domain = user_key.rsplit("@", 1)
         challenge = decision.challenge
-        self.store.add_dispatch(
-            DispatchRecord(
-                company_id,
-                now,
-                msg_id,
-                user_key,
-                decision.category,
-                decision.filter_drop,
-                challenge.challenge_id if challenge is not None else None,
-                decision.challenge_created,
-                env_from,
-                message.subject,
-                size,
-                spf,
-                message.kind,
-                message.sender_class,
-                message.campaign_id,
-                open_relay,
-                config.is_protected_recipient(local, domain),
-            )
+        # A DispatchRecord's fields, in field order.
+        self.store.add_row(
+            "dispatch",
+            company_id,
+            now,
+            msg_id,
+            user_key,
+            decision.category,
+            decision.filter_drop,
+            challenge.challenge_id if challenge is not None else None,
+            decision.challenge_created,
+            env_from,
+            message.subject,
+            size,
+            spf,
+            message.kind,
+            message.sender_class,
+            message.campaign_id,
+            open_relay,
+            config.is_protected_recipient(local, domain),
         )
         if decision.category is Category.WHITE:
             self.inbox_delivered += 1
@@ -310,10 +308,10 @@ class CompanyInstallation:
 
     def _record_mta(self, now: float, msg_id: int, reason, size: int) -> None:
         config = self.config
-        self.store.add_mta(
-            MtaRecord(
-                config.company_id, now, msg_id, reason, config.open_relay, size
-            )
+        # An MtaRecord's fields, in field order.
+        self.store.add_row(
+            "mta", config.company_id, now, msg_id, reason, config.open_relay,
+            size,
         )
 
     # -- challenge path ---------------------------------------------------

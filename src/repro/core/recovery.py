@@ -37,8 +37,9 @@ from repro.util.simtime import DAY
 #: On-disk snapshot format; bump on incompatible RunState changes (2: the
 #: generator routes rows by company index; 3: DNSBL services keep a
 #: pending pre-listing table and a listing log; 4: the generator has no
-#: shard context and DNSBL services no listing log).
-CHECKPOINT_FORMAT = 4
+#: shard context and DNSBL services no listing log; 5: store tables are
+#: column tables).
+CHECKPOINT_FORMAT = 5
 
 #: Default spacing between snapshots for ``--checkpoint-every`` style knobs.
 DEFAULT_CHECKPOINT_EVERY = 7 * DAY

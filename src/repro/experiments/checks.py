@@ -1,12 +1,14 @@
 """``python -m repro check [NAME...]``: run ``checks/*.yaml``.
 
 A check file is a scenario file plus what to run: ``run:`` (RunSpec
-fields, ``checkpoint_every`` in days), ``same_as:`` (overrides whose runs
-must reproduce its store digest and execution-invariant metrics;
-``resume_from: latest`` is its newest snapshot), ``experiments:`` (ids to
-render), ``pack: true`` (every pack scenario instead, each judged by its
-own verdicts and the check's) or ``frontier: true`` (the FP/FN frontier
-at ``run.preset`` instead, gated by ``check_frontier``). DESIGN.md §18.
+fields, ``checkpoint_every`` in days; snapshots, and spill chunks when
+``spill_chunk_rows`` is set, go to a scratch directory), ``same_as:``
+(overrides whose runs must reproduce its store digest and
+execution-invariant metrics; ``resume_from: latest`` is its newest
+snapshot), ``experiments:`` (ids to render), ``pack: true`` (every pack
+scenario instead, each judged by its own verdicts and the check's) or
+``frontier: true`` (the FP/FN frontier at ``run.preset`` instead, gated
+by ``check_frontier``). DESIGN.md §18.
 """
 
 from __future__ import annotations
@@ -132,28 +134,40 @@ def _run_scenario(check: Check, scenario: ScenarioSpec) -> bool:
 
     with tempfile.TemporaryDirectory(prefix="repro-check-") as scratch:
         spec = RunSpec(scenario=scenario, **check.run)
-        if spec.checkpoint_every is not None and spec.checkpoint_dir is None:
-            spec = replace(spec, checkpoint_dir=scratch)
-        result = simulate(spec)
+        result = simulate(_in_scratch(spec, scratch))
         print(format_run_metrics(result))
         verdict = verdicts.evaluate(result, scenario)
         print(verdicts.render(verdict, scenario.description))
-        same = [_same_as(result, spec, other) for other in check.same_as]
+        same = [
+            _same_as(result, spec, other, scratch) for other in check.same_as
+        ]
         for exp_id in check.experiments:
             print(f"=== {exp_id} ===\n{run_experiment(exp_id, result)}")
     return verdict.passed and all(same)
 
 
-def _same_as(result, spec: RunSpec, overrides: dict) -> bool:
+def _in_scratch(spec: RunSpec, scratch: str) -> RunSpec:
+    """*spec* with its snapshots, and its spill chunks when it sets
+    ``spill_chunk_rows``, under *scratch* unless it names directories."""
+    if spec.checkpoint_every is not None and spec.checkpoint_dir is None:
+        spec = replace(spec, checkpoint_dir=scratch)
+    if spec.spill_chunk_rows is not None and spec.spill_dir is None:
+        spec = replace(spec, spill_dir=os.path.join(scratch, "spill"))
+    return spec
+
+
+def _same_as(result, spec: RunSpec, overrides: dict, scratch: str) -> bool:
     """Run *spec* with *overrides*; it must reproduce *result*."""
     label = " ".join(f"{name}={value}" for name, value in overrides.items())
     if overrides.get("resume_from") == "latest":
-        snapshot = latest_checkpoint(spec.checkpoint_dir or "")
+        snapshot = latest_checkpoint(
+            _in_scratch(spec, scratch).checkpoint_dir or ""
+        )
         if snapshot is None:
             print(f"same_as {label}: FAIL (the run wrote no snapshot)")
             return False
         overrides = dict(overrides, resume_from=snapshot)
-    other = simulate(replace(spec, **overrides))
+    other = simulate(_in_scratch(replace(spec, **overrides), scratch))
     ours = execution_invariant(result.metrics)
     theirs = execution_invariant(other.metrics)
     problems = [

@@ -56,7 +56,6 @@ from typing import Optional, Sequence, Union
 
 # ``parallel.store_digest`` is the name callers fingerprint a store by.
 from repro.analysis.persistence import store_digest  # noqa: F401
-from repro.analysis.store import TABLES
 from repro.core.recovery import latest_checkpoint
 from repro.experiments.runner import RunRecord, RunSpec, simulate
 
@@ -122,14 +121,9 @@ def _execute_spec(
             result = simulate(
                 replace(spec, checkpoint_dir=directory, spill_dir=spill_dir)
             )
-        if spill_dir is not None:
-            # The spill directory dies with this call, so pull every
-            # table back into memory before the chunk files disappear.
-            store = result.store
-            for table in TABLES:
-                rows = getattr(store, table)
-                if not isinstance(rows, list):
-                    setattr(store, table, list(rows))
+        # A spilled run's directory dies with this call, so pull every
+        # table back into memory before the chunk files disappear.
+        result.store.gather()
     finally:
         if spill_dir is not None:
             import shutil

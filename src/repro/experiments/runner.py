@@ -258,7 +258,7 @@ def collect_metrics(
     metrics.update({
         "memory.max_rss_bytes": rss,
         "memory.store_live_rows": store.live_rows(),
-        "memory.store_live_bytes": store.live_bytes_estimate(),
+        "memory.store_live_bytes": store.live_bytes(),
         "memory.store_spilled_bytes": store.spilled_bytes(),
         "sim.events": state.simulator.events_processed,
     })
@@ -467,7 +467,7 @@ class RunSpec:
     #: Restore this snapshot and continue the run; every build-time field
     #: is then taken from the snapshot.
     resume_from: Optional[str] = None
-    #: Stream full chunks of ``spill_chunk_rows`` records to columnar
+    #: Stream full chunks of ``spill_chunk_rows`` records to chunk
     #: files under this directory, bounding the store's resident memory.
     spill_dir: Optional[str] = None
     spill_chunk_rows: Optional[int] = None

@@ -19,12 +19,12 @@ GROUPS = (
 )
 
 #: Names that say how a run executed, not what it measured: per-process
-#: work and memory, per-resume snapshots, and whether a forked planner
-#: drew the trace. The rest match with or without a snapshot, a resume
-#: or a planner.
+#: work and memory (which includes where the store's rows live, in
+#: memory or spilled), per-resume snapshots, and whether a forked planner
+#: drew the trace. The rest match with or without a snapshot, a resume,
+#: a spill or a planner.
 EXECUTION_VARIANT = (
-    "cache.", "checkpoint.", "sim.events", "memory.max_rss_bytes",
-    "planner.",
+    "cache.", "checkpoint.", "sim.events", "memory.", "planner.",
 )
 
 

@@ -163,6 +163,35 @@ class TestCache:
         assert fresh.run([spec])[0].digest == summaries[0].digest
         assert fresh.cache_hits == 1
 
+    @pytest.mark.parametrize("layout", ["columnar-v1", "records"])
+    def test_entry_in_the_record_object_layout_is_a_miss(
+        self, tmp_path, serial_summaries, monkeypatch, layout
+    ):
+        """A store pickled before tables were column tables — each table
+        a list of records, or a ``columnar-v1`` tuple of per-field
+        tuples — is refused on load instead of misread."""
+        from repro.analysis.store import SCHEMA, LogStore
+
+        record = serial_summaries[0]
+        state = dict(vars(record.store), _index=None)
+        for table, _tag, cls in SCHEMA:
+            rows = list(getattr(record.store, table))
+            names = [f.name for f in dataclasses.fields(cls)]
+            state[table] = rows if layout == "records" else (
+                "columnar-v1",
+                cls,
+                tuple(tuple(getattr(r, n) for r in rows) for n in names),
+            )
+        cache = RunCache(tmp_path / "runs")
+        key = SPECS[0].cache_key()
+        with monkeypatch.context() as patch:
+            patch.setattr(LogStore, "__getstate__", lambda self: state)
+            cache.save(key, record)
+        with pytest.raises(ValueError, match="older layout"):
+            pickle.loads(cache.path_for(key).read_bytes())
+        with pytest.warns(RuntimeWarning, match="recomputing"):
+            assert cache.load(key) is None
+
     def test_run_specs_respects_use_cache_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "runs"))
         run_specs([RunSpec("tiny", seed=3)], jobs=1, use_cache=False)
